@@ -124,18 +124,8 @@ struct MemoryPlan::Analysis {
       case ProgramOpKind::kShiftConv: {
         FLIGHTNN_CHECK(in.rank() == 3, "memory plan: shift conv at op ", t,
                        " expects CHW input, got ", in.to_string());
-        // In-memory programs describe geometry through the weight tensor;
-        // artifact programs through the scalar fields.
-        std::int64_t out_c = op.out_channels, in_c = op.in_channels,
-                     kernel = op.kernel;
-        if (!op.weights.empty()) {
-          const auto& ws = op.weights.shape();
-          FLIGHTNN_CHECK(ws.rank() == 4, "memory plan: shift conv weights at op ",
-                         t, " must be OIHW, got ", ws.to_string());
-          out_c = ws[0];
-          in_c = ws[1];
-          kernel = ws[2];
-        }
+        const std::int64_t out_c = op.out_channels, in_c = op.in_channels,
+                           kernel = op.kernel;
         FLIGHTNN_CHECK(out_c > 0 && in_c > 0 && kernel > 0 && op.stride > 0 &&
                            op.padding >= 0,
                        "memory plan: bad shift conv geometry at op ", t);
@@ -199,8 +189,7 @@ struct MemoryPlan::Analysis {
         return define(t, Shape{in.numel()});
       }
       case ProgramOpKind::kShiftLinear: {
-        std::int64_t out_f = op.out_channels;
-        if (!op.weights.empty()) out_f = op.weights.shape()[0];
+        const std::int64_t out_f = op.out_channels;
         FLIGHTNN_CHECK(out_f > 0, "memory plan: bad shift linear at op ", t);
         note_quant(mem, in.numel());
         use(cur, t);

@@ -125,9 +125,7 @@ class MemoryPlan {
 
 // --- Planned-arena policy ----------------------------------------------------
 //
-// Planning is on by default for plan-executing networks (never for
-// reference-engine networks, which bypass the arena-backed kernels).
-// FLIGHTNN_FORCE_DYNAMIC_ARENA=1 disables it process-wide; the programmatic
+// Planning is on by default. FLIGHTNN_FORCE_DYNAMIC_ARENA=1 disables it process-wide; the programmatic
 // override wins over the environment (differential tests flip it between
 // runs of the same program).
 

@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/decompose.hpp"
 #include "core/flightnn_transform.hpp"
+#include "inference/shift_engine.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -46,6 +46,18 @@ ShiftCoding shift_coding(quant::WeightTransform* transform,
   return coding;
 }
 
+// Lower a shift op's quantized weights into its plan; the weights themselves
+// are not kept.
+void lower_into(ProgramOp& op, const tensor::Tensor& quantized_weights,
+                const ShiftCoding& coding) {
+  op.k_max = coding.k_max;
+  op.pow2 = coding.pow2;
+  ShiftLowering lowered =
+      lower_shift_weights(quantized_weights, coding.k_max, coding.pow2);
+  op.plan = std::move(lowered.plan);
+  op.term_count = lowered.term_count;
+}
+
 void program_into(nn::Sequential& seq, ProgramState& state,
                   std::vector<ProgramOp>& ops);
 
@@ -80,14 +92,7 @@ void program_layer(nn::Layer& layer, ProgramState& state,
     if (coding.k_max > 0) {
       op.kind = ProgramOpKind::kShiftConv;
       op.act_bits = state.current_act_bits;
-      op.k_max = coding.k_max;
-      op.pow2 = coding.pow2;
-      const core::Decomposition decomposition =
-          core::decompose_to_lightnn1(wq, coding.k_max, coding.pow2);
-      op.term_count = decomposition.term_count();
-      op.plan = ShiftPlan::compile_conv(decomposition, coding.pow2,
-                                        op.in_channels, op.kernel);
-      op.weights = std::move(wq);
+      lower_into(op, wq, coding);
     } else {
       op.kind = ProgramOpKind::kFloatConv;
       op.weights = std::move(wq);
@@ -150,13 +155,7 @@ void program_layer(nn::Layer& layer, ProgramState& state,
     if (coding.k_max > 0) {
       op.kind = ProgramOpKind::kShiftLinear;
       op.act_bits = state.current_act_bits;
-      op.k_max = coding.k_max;
-      op.pow2 = coding.pow2;
-      const core::Decomposition decomposition =
-          core::decompose_to_lightnn1(wq, coding.k_max, coding.pow2);
-      op.term_count = decomposition.term_count();
-      op.plan = ShiftPlan::compile_linear(decomposition, coding.pow2);
-      op.weights = std::move(wq);
+      lower_into(op, wq, coding);
     } else {
       op.kind = ProgramOpKind::kFloatLinear;
       op.weights = std::move(wq);

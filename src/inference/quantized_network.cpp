@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -47,12 +48,8 @@ class QuantizeActStep final : public Step {
 
 class ShiftConvStep final : public Step {
  public:
-  ShiftConvStep(ShiftConv2d engine, int act_bits, bool use_reference,
-                runtime::PlanContext ctx = {})
-      : engine_(std::move(engine)),
-        act_bits_(act_bits),
-        use_reference_(use_reference),
-        ctx_(ctx) {}
+  ShiftConvStep(ShiftConv2d engine, int act_bits, runtime::PlanContext ctx)
+      : engine_(std::move(engine)), act_bits_(act_bits), ctx_(ctx) {}
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* counts) const override {
     // Inputs arriving here are already on the activation-quantizer grid, so
@@ -60,11 +57,8 @@ class ShiftConvStep final : public Step {
     QuantizedActivations& q = quant_scratch();
     quantize_image_into(input, act_bits_, q);
     OpCounts ops{};
-    tensor::Tensor out =
-        use_reference_
-            ? engine_.run_reference(q, counts ? &ops : nullptr)
-            : engine_.run(q, counts ? &ops : nullptr,
-                          ctx_.layout != nullptr ? &ctx_ : nullptr);
+    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr,
+                                     ctx_.layout != nullptr ? &ctx_ : nullptr);
     if (counts != nullptr) {
       counts->shifts += ops.shifts;
       counts->adds += ops.adds;
@@ -79,13 +73,12 @@ class ShiftConvStep final : public Step {
     return engine_.term_count();
   }
   [[nodiscard]] const char* kernel_tier() const override {
-    return use_reference_ ? "reference" : engine_.kernel_tier(act_bits_);
+    return engine_.kernel_tier(act_bits_);
   }
 
  private:
   ShiftConv2d engine_;
   int act_bits_;
-  bool use_reference_;
   // Planned-arena context; layout lives in the owning network's shared
   // MemoryPlan, so the pointer stays valid across network moves.
   runtime::PlanContext ctx_;
@@ -238,10 +231,8 @@ class FlattenStep final : public Step {
 
 class ShiftLinearStep final : public Step {
  public:
-  ShiftLinearStep(ShiftLinear engine, int act_bits, bool use_reference)
-      : engine_(std::move(engine)),
-        act_bits_(act_bits),
-        use_reference_(use_reference) {}
+  ShiftLinearStep(ShiftLinear engine, int act_bits)
+      : engine_(std::move(engine)), act_bits_(act_bits) {}
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* counts) const override {
     // No explicit flatten: quantization is shape-oblivious and the engine
@@ -250,9 +241,7 @@ class ShiftLinearStep final : public Step {
     quantize_tensor_into(input, act_bits_, q);
     q.shape = tensor::Shape{input.numel()};
     OpCounts ops{};
-    tensor::Tensor out = use_reference_
-                             ? engine_.run_reference(q, counts ? &ops : nullptr)
-                             : engine_.run(q, counts ? &ops : nullptr);
+    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr);
     if (counts != nullptr) {
       counts->shifts += ops.shifts;
       counts->adds += ops.adds;
@@ -266,13 +255,12 @@ class ShiftLinearStep final : public Step {
     return engine_.term_count();
   }
   [[nodiscard]] const char* kernel_tier() const override {
-    return use_reference_ ? "reference" : engine_.kernel_tier(act_bits_);
+    return engine_.kernel_tier(act_bits_);
   }
 
  private:
   ShiftLinear engine_;
   int act_bits_;
-  bool use_reference_;
 };
 
 class FloatLinearStep final : public Step {
@@ -352,12 +340,11 @@ class ResidualStep final : public Step {
 // loader leans on this as its final structural gate.
 
 StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
-                   std::size_t end, bool use_reference,
-                   const runtime::ArenaLayout* layout);
+                   std::size_t end, const runtime::ArenaLayout* layout);
 
 std::vector<StepPtr> build_segment(std::vector<ProgramOp>& ops,
                                    std::size_t& cursor, std::int64_t count,
-                                   std::size_t end, bool use_reference,
+                                   std::size_t end,
                                    const runtime::ArenaLayout* layout,
                                    const char* what) {
   FLIGHTNN_CHECK(count >= 0 && static_cast<std::size_t>(count) <= end - cursor,
@@ -367,14 +354,13 @@ std::vector<StepPtr> build_segment(std::vector<ProgramOp>& ops,
   std::vector<StepPtr> steps;
   steps.reserve(static_cast<std::size_t>(count));
   while (cursor < segment_end) {
-    steps.push_back(build_step(ops, cursor, segment_end, use_reference, layout));
+    steps.push_back(build_step(ops, cursor, segment_end, layout));
   }
   return steps;
 }
 
 StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
-                   std::size_t end, bool use_reference,
-                   const runtime::ArenaLayout* layout) {
+                   std::size_t end, const runtime::ArenaLayout* layout) {
   FLIGHTNN_CHECK(cursor < end, "from_program: op stream exhausted");
   // The planner keyed this op's arena extents by its flat index.
   const auto op_index = static_cast<std::uint32_t>(cursor);
@@ -390,22 +376,12 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
                      "from_program: shift conv act bits ", op.act_bits,
                      " outside [2, 16]");
-      if (!op.weights.empty()) {
-        // In-memory compile: rebuild from the quantized weights so the
-        // engine keeps its reference decomposition.
-        return std::make_unique<ShiftConvStep>(
-            ShiftConv2d(op.weights, op.k_max, op.pow2, op.stride, op.padding,
-                        std::move(op.bias)),
-            op.act_bits, use_reference, ctx);
-      }
-      FLIGHTNN_CHECK(!use_reference,
-                     "from_program: reference engine requested but the "
-                     "program carries plans only (artifact load path)");
       const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
-                               op.stride,       op.padding,     op.term_count};
+                               op.stride, op.padding};
       return std::make_unique<ShiftConvStep>(
-          ShiftConv2d(std::move(op.plan), spec, op.pow2, std::move(op.bias)),
-          op.act_bits, /*use_reference=*/false, ctx);
+          ShiftConv2d({std::move(op.plan), op.term_count}, spec, op.pow2,
+                      std::move(op.bias)),
+          op.act_bits, ctx);
     }
     case ProgramOpKind::kFloatConv:
       FLIGHTNN_CHECK(op.weights.shape().rank() == 4,
@@ -434,19 +410,11 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
                      "from_program: shift linear act bits ", op.act_bits,
                      " outside [2, 16]");
-      if (!op.weights.empty()) {
-        return std::make_unique<ShiftLinearStep>(
-            ShiftLinear(op.weights, op.k_max, op.pow2, std::move(op.bias)),
-            op.act_bits, use_reference);
-      }
-      FLIGHTNN_CHECK(!use_reference,
-                     "from_program: reference engine requested but the "
-                     "program carries plans only (artifact load path)");
-      const ShiftLinearSpec spec{op.out_channels, op.in_channels,
-                                 op.term_count};
+      const ShiftLinearSpec spec{op.out_channels, op.in_channels};
       return std::make_unique<ShiftLinearStep>(
-          ShiftLinear(std::move(op.plan), spec, op.pow2, std::move(op.bias)),
-          op.act_bits, /*use_reference=*/false);
+          ShiftLinear({std::move(op.plan), op.term_count}, spec, op.pow2,
+                      std::move(op.bias)),
+          op.act_bits);
     }
     case ProgramOpKind::kFloatLinear:
       FLIGHTNN_CHECK(op.weights.shape().rank() == 2,
@@ -457,12 +425,12 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       FLIGHTNN_CHECK(op.has_shortcut || op.shortcut_ops == 0,
                      "from_program: residual without shortcut claims ",
                      op.shortcut_ops, " shortcut ops");
-      auto main_steps = build_segment(ops, cursor, op.main_ops, end,
-                                      use_reference, layout, "main");
+      auto main_steps =
+          build_segment(ops, cursor, op.main_ops, end, layout, "main");
       auto shortcut_steps = build_segment(ops, cursor, op.shortcut_ops, end,
-                                          use_reference, layout, "shortcut");
-      auto post_steps = build_segment(ops, cursor, op.post_ops, end,
-                                      use_reference, layout, "post");
+                                          layout, "shortcut");
+      auto post_steps =
+          build_segment(ops, cursor, op.post_ops, end, layout, "post");
       return std::make_unique<ResidualStep>(
           std::move(main_steps), std::move(shortcut_steps), op.has_shortcut,
           std::move(post_steps));
@@ -538,17 +506,14 @@ void reserve_quant_scratch(std::size_t values) {
 QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
                                            const tensor::Shape& input_shape,
                                            const CompileOptions& options) {
-  return from_program(compile_program(model, input_shape, options),
-                      options.use_reference_engine);
+  return from_program(compile_program(model, input_shape, options));
 }
 
-QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program,
-                                                bool use_reference_engine) {
+QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
   QuantizedNetwork network;
-  // Plan the memory layout before build_step consumes the ops. Reference
-  // engines bypass the arena-backed kernels, so they stay unplanned; on the
+  // Plan the memory layout before build_step consumes the ops; on the
   // artifact load path this is the in-loader rebuild (format stays v1).
-  if (!use_reference_engine && memory_planning_enabled()) {
+  if (memory_planning_enabled()) {
     network.memory_plan_ = MemoryPlan::try_build(program);
   }
   const runtime::ArenaLayout* layout =
@@ -559,7 +524,7 @@ QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program,
   while (cursor < end) {
     const auto begin = static_cast<std::uint32_t>(cursor);
     network.steps_.push_back(
-        build_step(program.ops, cursor, end, use_reference_engine, layout));
+        build_step(program.ops, cursor, end, layout));
     network.step_ops_.emplace_back(begin, static_cast<std::uint32_t>(cursor));
   }
   return network;
@@ -572,6 +537,14 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor QuantizedNetwork::run(
   FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
                  "QuantizedNetwork::run: expected [C,H,W] or [1,C,H,W], got ",
                  s.to_string());
+  // Non-finite pixels would otherwise flow through quantization silently
+  // (NaN yields finite logits, +Inf all-zero ones), so they stop here.
+  const float* pixels = image.data();
+  const float* bad = std::find_if(pixels, pixels + image.numel(),
+                                  [](float v) { return !std::isfinite(v); });
+  FLIGHTNN_CHECK(bad == pixels + image.numel(),
+                 "QuantizedNetwork::run: non-finite input value ", *bad,
+                 " at element ", bad - pixels);
   if (s.rank() == 3) {
     current = image;
   } else {

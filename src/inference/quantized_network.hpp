@@ -51,8 +51,8 @@ struct StepProfile {
   std::int64_t adds = 0;
   std::int64_t float_macs = 0;
   std::int64_t terms = 0;  // single-shift filter terms (0 for non-shift steps)
-  // Kernel tier the step dispatches to ("scalar" / "avx2"; "reference" for
-  // term-walk steps, "-" for steps that do not run on the shift engine).
+  // Kernel tier the step dispatches to ("scalar" / "avx2"; "-" for steps
+  // that do not run on the shift engine).
   std::string kernel_tier = "-";
   // Planned arena scratch this step's kernels fetch (0 when the network
   // runs on the dynamic arena or the step uses no arena scratch).
@@ -72,13 +72,10 @@ class QuantizedNetwork {
                                   const CompileOptions& options = {});
 
   // Build an executable network from a lowered program (the IR
-  // compile_program emits and the deployment artifact stores). Ops whose
-  // quantized weights are present get engines with the full reference
-  // term-walk; plan-only ops (artifact load path) get plan-adopting
-  // engines. run() is bit-identical either way. `use_reference_engine`
-  // requires the weights to be present.
-  static QuantizedNetwork from_program(NetworkProgram program,
-                                       bool use_reference_engine = false);
+  // compile_program emits and the deployment artifact stores). Every shift
+  // engine adopts its op's compiled plan, so an in-memory compile and an
+  // artifact load build identical networks.
+  static QuantizedNetwork from_program(NetworkProgram program);
 
   // Run one image [C, H, W] (or [1, C, H, W]) to logits.
   [[nodiscard]] tensor::Tensor run(const tensor::Tensor& image,
@@ -99,8 +96,8 @@ class QuantizedNetwork {
   [[nodiscard]] std::size_t step_count() const { return steps_.size(); }
 
   // The memory plan attached at from_program time, or nullptr when the
-  // network runs on the dynamic arena (reference engines,
-  // FLIGHTNN_FORCE_DYNAMIC_ARENA, or the planning override). Valid for the
+  // network runs on the dynamic arena (FLIGHTNN_FORCE_DYNAMIC_ARENA or the
+  // planning override). Valid for the
   // network's lifetime; BatchRunner's warm path adopts it per worker.
   [[nodiscard]] const MemoryPlan* memory_plan() const {
     return memory_plan_.get();

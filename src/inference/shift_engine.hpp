@@ -8,15 +8,16 @@
 // summation. The engine is bit-exact: its dequantized output equals the
 // real-arithmetic convolution of the quantized operands.
 //
-// Execution is plan-compiled (inference/shift_plan.hpp): construction lowers
-// the decomposition into a sparsity-elided SoA entry stream, and run() walks
-// only nonzero weight elements, splitting each output plane into a
-// padding-free interior and guarded border rows. The pre-plan term-walk
-// survives as run_reference() -- the differential oracle the property tests
-// compare against and the seed engine the benchmarks measure speedups over.
-// Both paths produce bit-identical output: every accumulator receives the
-// same multiset of integer addends, and int64 addition is associative and
-// commutative (DESIGN.md §9).
+// Execution is plan-compiled (inference/shift_plan.hpp): every engine runs a
+// ShiftPlan, a sparsity-elided SoA entry stream, and run() walks only nonzero
+// weight elements, splitting each output plane into a padding-free interior
+// and guarded border rows. The plan is the layer's only form: engines built
+// from weights lower them through lower_shift_weights() and then hold the
+// same state as engines adopted from a compiled program or an artifact. The
+// term-walk oracle the differential tests compare run() against lives in
+// tests/; it adds the same multiset of integer addends, and int64 addition
+// is associative and commutative, so the two agree bit for bit (DESIGN.md
+// §9).
 //
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
@@ -25,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/decompose.hpp"
 #include "inference/shift_plan.hpp"
 #include "quant/pow2.hpp"
 #include "tensor/ops.hpp"
@@ -81,23 +81,33 @@ struct OpCounts {
   std::int64_t adds = 0;    // accumulator additions
 };
 
-// Geometry bundle for engines rebuilt from an already-compiled plan (the
-// deployment-artifact load path, where the original weight tensor is gone).
+// A shift layer lowered to the single-shift datapath: the compiled plan plus
+// the decomposition's term census (metadata reported by term_count()).
+struct ShiftLowering {
+  ShiftPlan plan;
+  std::int64_t term_count = 0;
+};
+
+// The one lowering from quantized weights to a plan (Fig. 3): decompose into
+// single-shift terms, validate the decomposition against the weight geometry
+// and the pow2 window, compile the plan. OIHW weights lower to a conv plan,
+// [out, in] weights to a linear plan; any other rank throws. compile_program
+// and the engines' weights constructors both go through here.
+ShiftLowering lower_shift_weights(const tensor::Tensor& quantized_weights,
+                                  int k_max, const quant::Pow2Config& config);
+
+// Conv geometry of a lowered layer.
 struct ShiftConvSpec {
   std::int64_t out_channels = 0;
   std::int64_t in_channels = 0;
   std::int64_t kernel = 0;
   std::int64_t stride = 1;
   std::int64_t padding = 0;
-  // Single-shift filter terms the plan was lowered from (metadata only;
-  // reported by term_count()).
-  std::int64_t term_count = 0;
 };
 
 struct ShiftLinearSpec {
   std::int64_t out_features = 0;
   std::int64_t in_features = 0;
-  std::int64_t term_count = 0;
 };
 
 // A convolution compiled to the single-shift datapath.
@@ -105,18 +115,18 @@ class ShiftConv2d {
  public:
   // `quantized_weights` is an OIHW tensor whose elements are sums of at most
   // `k_max` powers of two (output of LightNN-k / FLightNN quantization).
-  // `bias` may be empty.
+  // `bias` may be empty. Lowers the weights (lower_shift_weights) and adopts
+  // the resulting plan.
   ShiftConv2d(const tensor::Tensor& quantized_weights, int k_max,
               const quant::Pow2Config& config, std::int64_t stride,
               std::int64_t padding, tensor::Tensor bias = {});
 
-  // Adopt an already-compiled plan (deployment-artifact load path: the plan's
-  // streams may be zero-copy views into a mapped blob). The caller vouches
-  // for the plan's per-entry validity (the artifact loader validates every
-  // stream before construction); this constructor re-checks the cheap
-  // structural invariants. run_reference()/filter_k() are unavailable -- no
-  // decomposition exists.
-  ShiftConv2d(ShiftPlan plan, const ShiftConvSpec& spec,
+  // Adopt an already-lowered layer (compiled program or deployment artifact:
+  // the plan's streams may be zero-copy views into a mapped blob). The caller
+  // vouches for the plan's per-entry validity (lowering and the artifact
+  // loader both validate every entry); this constructor re-checks the cheap
+  // structural invariants.
+  ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
   // Run on one quantized image; returns the dequantized float output
@@ -131,18 +141,8 @@ class ShiftConv2d {
       const QuantizedActivations& input, OpCounts* counts = nullptr,
       const runtime::PlanContext* ctx = nullptr) const;
 
-  // The pre-plan engine: walks the decomposition's term vectors directly,
-  // zero elements and all. Kept as the differential oracle / seed baseline;
-  // output and op counts are bit-identical to run(). Requires a
-  // weights-built engine (has_reference()); plan-adopting engines throw.
-  [[nodiscard]] tensor::Tensor run_reference(const QuantizedActivations& input,
-                                             OpCounts* counts = nullptr) const;
-
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
-  // Whether the decomposition (run_reference / filter_k) is available.
-  [[nodiscard]] bool has_reference() const { return has_reference_; }
-  [[nodiscard]] const std::vector<int>& filter_k() const;
   [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
   [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
   // Name of the kernel tier run() dispatches to for activations quantized
@@ -152,23 +152,15 @@ class ShiftConv2d {
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
-  core::Decomposition decomposition_;  // empty for plan-adopting engines
   quant::Pow2Config config_;
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   std::int64_t term_count_ = 0;
-  bool has_reference_ = false;
   tensor::Tensor bias_;  // float; folded in after dequantization
-  // Compiled SoA execution plan (run()'s workload).
+  // Compiled SoA execution plan (run()'s workload). run() parallelizes
+  // across filter blocks, so each filter's accumulator plane is written by
+  // exactly one thread and parallel results are bit-identical to serial
+  // execution.
   ShiftPlan plan_;
-  // Term indices grouped by output filter, preserving decomposition order;
-  // run_reference()'s workload. Both paths parallelize across filter blocks,
-  // so each filter's accumulator plane is written by exactly one thread and
-  // parallel results are bit-identical to serial execution.
-  std::vector<std::vector<std::size_t>> filter_terms_;
-  // Per-filter sum of 2^shift over nonzero weight elements, saturated at the
-  // accumulator guard: |accumulator| <= max|q| * filter_gain_[f], which lets
-  // both run paths check for overflow once per filter instead of per element.
-  std::vector<std::int64_t> filter_gain_;
 };
 
 // A fully-connected layer compiled to the single-shift datapath: weights
@@ -179,8 +171,8 @@ class ShiftLinear {
   ShiftLinear(const tensor::Tensor& quantized_weights, int k_max,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
-  // Adopt an already-compiled plan (see the ShiftConv2d overload).
-  ShiftLinear(ShiftPlan plan, const ShiftLinearSpec& spec,
+  // Adopt an already-lowered layer (see the ShiftConv2d overload).
+  ShiftLinear(ShiftLowering lowered, const ShiftLinearSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
   // `input.shape` must be rank-1 [in_features]. Returns the dequantized
@@ -188,13 +180,7 @@ class ShiftLinear {
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
                                    OpCounts* counts = nullptr) const;
 
-  // Pre-plan term walk (differential oracle / seed baseline); requires a
-  // weights-built engine (has_reference()).
-  [[nodiscard]] tensor::Tensor run_reference(const QuantizedActivations& input,
-                                             OpCounts* counts = nullptr) const;
-
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
-  [[nodiscard]] bool has_reference() const { return has_reference_; }
   [[nodiscard]] std::int64_t out_features() const { return out_features_; }
   [[nodiscard]] std::int64_t in_features() const { return in_features_; }
   [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
@@ -202,17 +188,11 @@ class ShiftLinear {
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
-  core::Decomposition decomposition_;  // empty for plan-adopting engines
   quant::Pow2Config config_;
   std::int64_t out_features_, in_features_;
   std::int64_t term_count_ = 0;
-  bool has_reference_ = false;
   tensor::Tensor bias_;
   ShiftPlan plan_;
-  // Same per-filter term grouping / overflow-gain precomputation as
-  // ShiftConv2d (see there); run_reference()'s workload.
-  std::vector<std::vector<std::size_t>> filter_terms_;
-  std::vector<std::int64_t> filter_gain_;
 };
 
 // Whether ShiftConv2d::run takes the int32 narrow-accumulator path for ANY

@@ -7,8 +7,9 @@
 // makes the inner loop pay for weights that contribute nothing -- exactly
 // the cost the paper's per-filter k_i is supposed to eliminate (Fig. 3).
 //
-// `ShiftPlan` lowers the decomposition once, at engine construction, into a
-// flat structure-of-arrays: one contiguous stream of (element, shift, sign)
+// `ShiftPlan` lowers the decomposition once, at compile time
+// (lower_shift_weights in inference/shift_engine.hpp), into a flat
+// structure-of-arrays: one contiguous stream of (element, shift, sign)
 // entries per filter, with every zero element and every pruned filter elided.
 // Steady-state kernel work is then exactly proportional to
 // Σ_i k_i · nnz_i -- the paper's energy-proportionality, realized in

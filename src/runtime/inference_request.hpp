@@ -60,8 +60,7 @@ struct InferenceResult {
 
 // Split an NCHW batch into per-image [C, H, W] tensors, recycling the
 // tensors already in `images` when shapes match (zero-allocation steady
-// state). Shared by InferenceRequest::from_nchw and the deprecated
-// BatchRunner NCHW shims.
+// state). Backs InferenceRequest::from_nchw.
 void split_nchw(const tensor::Tensor& batch,
                 std::vector<tensor::Tensor>& images);
 

@@ -152,8 +152,11 @@ FLIGHTNN_HOT void Server::execute_batch(std::vector<Pending>& batch) {
   try {
     runner_->run(fused_, fused_result_, &per_image_counts_);
   } catch (...) {
-    const auto error = std::current_exception();
-    for (auto& pending : batch) pending.promise.set_exception(error);
+    if (batch.size() > 1) {
+      execute_isolated(batch, dispatched);
+    } else {
+      batch.front().promise.set_exception(std::current_exception());
+    }
     return;
   }
 
@@ -188,6 +191,29 @@ FLIGHTNN_HOT void Server::execute_batch(std::vector<Pending>& batch) {
     result.timing.compute_seconds = fused_result_.timing.compute_seconds;
     result.timing.batch_size = fused_images;
     offset += count;
+    pending.promise.set_value(std::move(result));
+  }
+}
+
+FLIGHTNN_COLD_ALLOC void Server::execute_isolated(
+    std::vector<Pending>& batch,
+    std::chrono::steady_clock::time_point dispatched) {
+  std::size_t offset = 0;
+  for (auto& pending : batch) {
+    for (auto& image : pending.request.images) {
+      image = std::move(fused_.images[offset++]);
+    }
+  }
+  for (auto& pending : batch) {
+    runtime::InferenceResult result;
+    try {
+      runner_->run(pending.request, result);
+    } catch (...) {
+      pending.promise.set_exception(std::current_exception());
+      continue;
+    }
+    result.timing.queue_seconds =
+        std::chrono::duration<double>(dispatched - pending.enqueued).count();
     pending.promise.set_value(std::move(result));
   }
 }

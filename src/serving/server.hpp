@@ -24,6 +24,10 @@
 //   - Shutdown is graceful: every accepted request's future is fulfilled
 //     before the batcher exits; submissions racing shutdown get a typed
 //     ShuttingDown status, never a broken promise.
+//   - Failure isolation: when a fused batch throws (say, one request's
+//     images have the wrong shape or non-finite pixels), its requests are
+//     re-run one by one, so only the offending request's future carries the
+//     exception.
 //
 // Determinism: the batcher only changes which forward passes share a
 // parallel_for; per-image logits are bit-identical to a direct
@@ -113,6 +117,12 @@ class Server {
   // Fuse `batch` into one BatchRunner request, execute it, and fulfill
   // every promise with its slice of the results. Runs without the lock.
   void execute_batch(std::vector<Pending>& batch) FLIGHTNN_EXCLUDES(mutex_);
+  // Failure path of execute_batch when the fused run threw: hand the images
+  // back to their requests and run each request on its own, so only a
+  // request that fails by itself gets an exception.
+  void execute_isolated(std::vector<Pending>& batch,
+                        std::chrono::steady_clock::time_point dispatched)
+      FLIGHTNN_EXCLUDES(mutex_);
 
   const runtime::BatchRunner* runner_;
   ServerConfig config_;

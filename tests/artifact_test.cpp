@@ -213,7 +213,8 @@ TEST(ArtifactDifferential, MmapAndHeapLogitsAreMemcmpIdentical) {
 // --- Zero-copy: plan streams must view the blob, not copies ---------------
 
 TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
-  const std::vector<std::uint8_t> blob = build_artifact(deterministic_program());
+  const NetworkProgram compiled = deterministic_program();
+  const std::vector<std::uint8_t> blob = build_artifact(compiled);
   const NetworkProgram parsed = parse_artifact(blob.data(), blob.size());
   const auto* begin = blob.data();
   const auto* end = blob.data() + blob.size();
@@ -221,25 +222,34 @@ TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
     return p >= static_cast<const void*>(begin) &&
            p < static_cast<const void*>(end);
   };
-  int shift_ops = 0;
-  for (const auto& op : parsed.ops) {
-    if (op.kind != ProgramOpKind::kShiftConv &&
-        op.kind != ProgramOpKind::kShiftLinear) {
-      continue;
+  // The artifact path and the in-memory compile alike carry plans, never the
+  // float weights: a shift op's plan is its only form.
+  for (const NetworkProgram* program : {&parsed, &compiled}) {
+    const char* what = program == &parsed ? "artifact" : "compile_program";
+    int shift_ops = 0;
+    for (const auto& op : program->ops) {
+      if (op.kind != ProgramOpKind::kShiftConv &&
+          op.kind != ProgramOpKind::kShiftLinear) {
+        continue;
+      }
+      ++shift_ops;
+      EXPECT_TRUE(op.weights.empty()) << what;
+      EXPECT_EQ(op.plan.filters, op.out_channels) << what;
+      EXPECT_GT(op.plan.entries(), 0) << what;
+      if (program != &parsed) continue;
+      EXPECT_TRUE(in_blob(op.plan.element.data()));
+      EXPECT_TRUE(in_blob(op.plan.shift.data()));
+      EXPECT_TRUE(in_blob(op.plan.sign.data()));
+      EXPECT_TRUE(in_blob(op.plan.filter_begin.data()));
+      EXPECT_TRUE(in_blob(op.plan.filter_gain.data()));
+      // Streams of 8-byte elements must be naturally aligned in the mapping.
+      EXPECT_EQ(
+          reinterpret_cast<std::uintptr_t>(op.plan.filter_begin.data()) % 8,
+          0U);
     }
-    ++shift_ops;
-    EXPECT_TRUE(in_blob(op.plan.element.data()));
-    EXPECT_TRUE(in_blob(op.plan.shift.data()));
-    EXPECT_TRUE(in_blob(op.plan.sign.data()));
-    EXPECT_TRUE(in_blob(op.plan.filter_begin.data()));
-    EXPECT_TRUE(in_blob(op.plan.filter_gain.data()));
-    // Streams of 8-byte elements must be naturally aligned in the mapping.
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(op.plan.filter_begin.data()) % 8,
-              0U);
-    // The artifact path carries plans, never the float weights.
-    EXPECT_TRUE(op.weights.empty());
+    EXPECT_GT(shift_ops, 10)
+        << what << ": ResNet-18 should lower many shift layers";
   }
-  EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";
 }
 
 // --- Corruption matrix ----------------------------------------------------

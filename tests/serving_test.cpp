@@ -1,7 +1,9 @@
 // Serving-layer test suite: the dynamic batcher's flush policies (size vs
 // deadline), admission control under a seeded burst, graceful shutdown
-// draining every accepted future, and the differential guarantee that
-// server-path logits are bit-identical to direct BatchRunner output. Run
+// draining every accepted future, the differential guarantee that
+// server-path logits are bit-identical to direct BatchRunner output, and
+// failure isolation: a malformed or non-finite request fails only its own
+// future. Run
 // under the debug-tsan preset (CI thread-sanitizer job) this is the
 // data-race gate for the serving subsystem; the client threads, the batcher
 // thread and the kernel pool all interleave here.
@@ -16,6 +18,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "runtime/inference_request.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serving/server.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace flightnn {
@@ -385,52 +389,98 @@ TEST(ServingTest, ServerPathBitIdenticalToDirectBatchRunner) {
   }
 }
 
-// The deprecated pre-request-API shims must keep forwarding faithfully for
-// the one release they survive (DESIGN.md §11). This test opts out of the
-// repo-wide -Werror=deprecated-declarations gate on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ServingTest, DeprecatedShimsForwardToRequestPath) {
-  runtime::set_num_threads(1);
-  const auto network = make_network(kBaseSeed + 2);
+// Submits `bad` and then a well-formed one-image request to a server whose
+// size flush fires only at two images, so both ride in one fused batch.
+// The well-formed request's logits must be memcmp-equal to a direct
+// BatchRunner::run; `bad`'s future must throw CheckFailure.
+void expect_only_bad_request_fails(runtime::InferenceRequest bad) {
+  runtime::set_num_threads(2);
+  const auto network = make_network(kBaseSeed + 3);
   const runtime::BatchRunner runner(network);
+  serving::ServerConfig config;
+  config.max_batch = 2;
+  config.max_queue_delay_s = 10.0;  // only the size flush can fire
+  serving::Server server(runner, config);
 
-  const auto request = make_request(7, 3, kBaseSeed + 90);
-  const runtime::InferenceResult via_request = runner.run(request);
+  const auto good = make_request(2, 1, kBaseSeed + 31);
+  const runtime::InferenceResult direct = runner.run(good);
+  auto bad_submission = server.submit(std::move(bad));
+  auto good_submission = server.submit(good);
+  ASSERT_EQ(bad_submission.status, serving::SubmitStatus::Ok);
+  ASSERT_EQ(good_submission.status, serving::SubmitStatus::Ok);
 
-  // Owning vector shim.
-  const runtime::BatchResult via_vector = runner.run(request.images);
-  ASSERT_EQ(via_vector.logits.size(), via_request.logits.size());
-  for (std::size_t i = 0; i < via_vector.logits.size(); ++i) {
-    expect_bitwise_equal(via_request.logits[i], via_vector.logits[i],
-                         "vector shim");
-  }
-  EXPECT_EQ(via_vector.counts.images, via_request.counts.images);
-  EXPECT_EQ(via_vector.counts.shifts, via_request.counts.shifts);
+  EXPECT_THROW((void)bad_submission.result.get(), support::CheckFailure);
+  const runtime::InferenceResult served = good_submission.result.get();
+  EXPECT_EQ(served.id, 2u);
+  ASSERT_EQ(served.logits.size(), 1u);
+  expect_bitwise_equal(direct.logits[0], served.logits[0], "co-batched");
+  EXPECT_EQ(served.argmax, direct.argmax);
+  EXPECT_EQ(served.counts.shifts, direct.counts.shifts);
+  server.shutdown();
+  EXPECT_EQ(server.stats().batches, 1);
+  runtime::set_num_threads(1);
+}
 
-  // NCHW shim vs InferenceRequest::from_nchw.
-  support::Rng rng(kBaseSeed + 91);
-  const Tensor batch = Tensor::randn(Shape{2, 3, 12, 12}, rng);
-  const runtime::BatchResult via_nchw = runner.run(batch);
-  const runtime::InferenceResult via_from_nchw =
-      runner.run(runtime::InferenceRequest::from_nchw(batch));
-  ASSERT_EQ(via_nchw.logits.size(), via_from_nchw.logits.size());
-  for (std::size_t i = 0; i < via_nchw.logits.size(); ++i) {
-    expect_bitwise_equal(via_from_nchw.logits[i], via_nchw.logits[i],
-                         "nchw shim");
-  }
+// A [4,12,12] request fails the network's channel check, which throws out
+// of the whole fused run; the well-formed request batched with it must
+// still get its logits.
+TEST(ServingTest, BadShapeFailsOnlyItsOwnRequest) {
+  support::Rng rng(kBaseSeed + 30);
+  runtime::InferenceRequest bad;
+  bad.id = 1;
+  bad.images.push_back(Tensor::randn(Shape{4, 12, 12}, rng));
+  expect_only_bad_request_fails(std::move(bad));
+}
 
-  // Preallocated shim.
-  runtime::BatchResult reused;
-  runner.run(request.images, reused);
-  runner.run(request.images, reused);
-  ASSERT_EQ(reused.logits.size(), via_request.logits.size());
-  for (std::size_t i = 0; i < reused.logits.size(); ++i) {
-    expect_bitwise_equal(via_request.logits[i], reused.logits[i],
-                         "preallocated shim");
+const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+
+// One image with a single non-finite pixel in the middle of the plane.
+Tensor poisoned_image(float value) {
+  support::Rng rng(kBaseSeed + 40);
+  Tensor image = Tensor::randn(Shape{3, 12, 12}, rng);
+  image[1 * 144 + 6 * 12 + 5] = value;
+  return image;
+}
+
+// Non-finite input is rejected at the network boundary; past it, a NaN pixel
+// would yield finite logits and +Inf all-zero ones.
+TEST(NonFiniteInputTest, NetworkRunRejects) {
+  runtime::set_num_threads(1);
+  const auto network = make_network();
+  for (const float value : kNonFinite) {
+    EXPECT_THROW((void)network.run(poisoned_image(value)),
+                 support::CheckFailure)
+        << value;
+    const Tensor batched =
+        poisoned_image(value).reshaped(Shape{1, 3, 12, 12});
+    EXPECT_THROW((void)network.run(batched), support::CheckFailure) << value;
   }
 }
-#pragma GCC diagnostic pop
+
+TEST(NonFiniteInputTest, BatchRunnerRejects) {
+  const auto network = make_network();
+  const runtime::BatchRunner runner(network);
+  for (const int threads : {1, 2}) {
+    runtime::set_num_threads(threads);
+    for (const float value : kNonFinite) {
+      runtime::InferenceRequest request = make_request(1, 3, kBaseSeed + 41);
+      request.images[1] = poisoned_image(value);
+      EXPECT_THROW((void)runner.run(request), support::CheckFailure) << value;
+    }
+  }
+  runtime::set_num_threads(1);
+}
+
+TEST(NonFiniteInputTest, ServerFailsOnlyTheOffendingRequest) {
+  for (const float value : kNonFinite) {
+    runtime::InferenceRequest bad;
+    bad.id = 1;
+    bad.images.push_back(poisoned_image(value));
+    expect_only_bad_request_fails(std::move(bad));
+  }
+}
 
 }  // namespace
 }  // namespace flightnn

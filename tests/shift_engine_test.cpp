@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "quant/lightnn.hpp"
 #include "support/rng.hpp"
+#include "term_walk_oracle.hpp"
 
 namespace flightnn::inference {
 namespace {
@@ -131,7 +133,10 @@ TEST(ShiftConvTest, PrunedFiltersCostNothing) {
   for (std::int64_t i = 9; i < 18; ++i) EXPECT_FLOAT_EQ(out[i], 0.0F);
 }
 
-TEST(ShiftConvTest, TermCountMatchesDecomposition) {
+// The engine is its decomposition, compiled: same term census, and run()
+// reproduces the term walk over the decomposition bit for bit, op counts
+// included.
+TEST(ShiftConvTest, RunMatchesTermWalkOfDecomposition) {
   support::Rng rng(7);
   const quant::Pow2Config config;
   Tensor w = Tensor::randn(Shape{8, 2, 3, 3}, rng, 0.0F, 0.3F);
@@ -139,7 +144,19 @@ TEST(ShiftConvTest, TermCountMatchesDecomposition) {
   ShiftConv2d engine(wq, 2, config, 1, 1);
   const auto d = core::decompose_to_lightnn1(wq, 2, config);
   EXPECT_EQ(engine.term_count(), d.term_count());
-  EXPECT_EQ(engine.filter_k(), d.filter_k);
+
+  Tensor img = Tensor::randn(Shape{2, 7, 9}, rng);
+  const auto qimg = quantize_image(img, 8);
+  OpCounts got_counts{}, want_counts{};
+  const Tensor got = engine.run(qimg, &got_counts);
+  const Tensor want = oracle::term_walk_conv(d, {8, 2, 3, 1, 1}, config, qimg,
+                                             {}, &want_counts);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(got.numel()) * sizeof(float)),
+            0);
+  EXPECT_EQ(got_counts.shifts, want_counts.shifts);
+  EXPECT_EQ(got_counts.adds, want_counts.adds);
 }
 
 TEST(ShiftConvTest, InputValidation) {

@@ -1,7 +1,7 @@
 // Property tests for the compiled shift-plan engine: over randomized layer
 // geometries, k_max values and pruning fractions (including all-pruned and
 // fully-dense extremes), the compiled plan path must produce BIT-IDENTICAL
-// outputs and identical op counts to the pre-plan reference term-walk, and
+// outputs and identical op counts to the term-walk oracle, and
 // the plan itself must satisfy its structural invariants (sorted filter
 // prefix, no zero-sign entries, shifts inside the barrel range, pruned
 // filters with empty entry ranges).
@@ -18,6 +18,7 @@
 #include "runtime/thread_pool.hpp"
 #include "support/rng.hpp"
 #include "tensor/tensor.hpp"
+#include "term_walk_oracle.hpp"
 
 namespace flightnn {
 namespace {
@@ -32,7 +33,7 @@ void expect_bitwise_equal(const Tensor& expected, const Tensor& actual,
                         static_cast<std::size_t>(expected.numel()) *
                             sizeof(float)),
             0)
-      << what << ": plan output differs from reference term-walk";
+      << what << ": plan output differs from the term-walk oracle";
 }
 
 // Zero out a fraction of whole filters (the paper's filter pruning). The
@@ -141,7 +142,10 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
           inference::OpCounts plan_counts{};
           inference::OpCounts ref_counts{};
           const Tensor got = engine.run(q, &plan_counts);
-          const Tensor want = engine.run_reference(q, &ref_counts);
+          const Tensor want = oracle::term_walk_conv(
+              core::decompose_to_lightnn1(wq, k_max, config),
+              {out_ch, in_ch, kernel, stride, padding}, config, q, {},
+              &ref_counts);
           expect_bitwise_equal(want, got, "conv");
           EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
               << "k=" << k_max << " kernel=" << kernel << " stride=" << stride
@@ -154,7 +158,7 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
 }
 
 // The conv plan path parallelizes across filters; its agreement with the
-// serial reference must hold at every thread count (including a
+// serial oracle must hold at every thread count (including a
 // non-power-of-two).
 TEST(ShiftPlanPropertyTest, ConvPlanThreadCountInvariant) {
   const quant::Pow2Config config;
@@ -166,8 +170,8 @@ TEST(ShiftPlanPropertyTest, ConvPlanThreadCountInvariant) {
   const Tensor image = Tensor::randn(Shape{3, 12, 12}, rng);
   const auto q = inference::quantize_image(image, 8);
 
-  runtime::set_num_threads(1);
-  const Tensor reference = engine.run_reference(q);
+  const Tensor reference = oracle::term_walk_conv(
+      core::decompose_to_lightnn1(wq, 2, config), {9, 3, 3, 1, 1}, config, q);
   for (const int threads : {1, 2, 4, 7}) {
     runtime::set_num_threads(threads);
     expect_bitwise_equal(reference, engine.run(q), "conv@threads");
@@ -199,7 +203,9 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       inference::OpCounts plan_counts{};
       inference::OpCounts ref_counts{};
       const Tensor got = engine.run(q, &plan_counts);
-      const Tensor want = engine.run_reference(q, &ref_counts);
+      const Tensor want = oracle::term_walk_linear(
+          core::decompose_to_lightnn1(wq, k_max, config), config, q, {},
+          &ref_counts);
       expect_bitwise_equal(want, got, "linear");
       EXPECT_EQ(plan_counts.shifts, ref_counts.shifts)
           << "k=" << k_max << " prune=" << fraction;
@@ -228,8 +234,8 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   EXPECT_EQ(plan.filter_gain[1], 0);
 }
 
-// Bias handling must be identical on both paths (bias folds in after
-// dequantization, independent of the entry walk).
+// Bias handling must match the oracle (bias folds in after dequantization,
+// independent of the entry walk).
 TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const quant::Pow2Config config;
   support::Rng rng(5);
@@ -239,7 +245,10 @@ TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const inference::ShiftConv2d engine(wq, 2, config, 2, 1, bias);
   const Tensor image = Tensor::randn(Shape{2, 9, 9}, rng);
   const auto q = inference::quantize_image(image, 8);
-  expect_bitwise_equal(engine.run_reference(q), engine.run(q), "conv+bias");
+  expect_bitwise_equal(
+      oracle::term_walk_conv(core::decompose_to_lightnn1(wq, 2, config),
+                             {4, 2, 3, 2, 1}, config, q, bias),
+      engine.run(q), "conv+bias");
 
   Tensor wl = Tensor::randn(Shape{5, 12}, rng);
   Tensor wlq = quant::quantize_lightnn(wl, 2, config);
@@ -247,7 +256,10 @@ TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const inference::ShiftLinear lin(wlq, 2, config, bl);
   const Tensor x = Tensor::randn(Shape{12}, rng);
   const auto qx = inference::quantize_tensor(x, 8);
-  expect_bitwise_equal(lin.run_reference(qx), lin.run(qx), "linear+bias");
+  expect_bitwise_equal(
+      oracle::term_walk_linear(core::decompose_to_lightnn1(wlq, 2, config),
+                               config, qx, bl),
+      lin.run(qx), "linear+bias");
 }
 
 }  // namespace
