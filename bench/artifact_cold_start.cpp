@@ -25,10 +25,10 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/gemm.hpp"
 #include "core/quantize_model.hpp"
 #include "inference/network_program.hpp"
 #include "inference/quantized_network.hpp"
-#include "inference/shift_kernels.hpp"
 #include "models/networks.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serialize/artifact.hpp"
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
   out.add_number("speedup", speedup);
   out.add_bool("logits_identical", true);
   bench::add_host_info(
-      out, inference::kernel_tier_name(inference::active_shift_kernels().tier));
+      out, core::kernel_tier_name(core::active_kernel_tier()));
   const std::string json_path = parser.get("--json");
   if (!bench::write_json_file(json_path, out)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());

@@ -141,7 +141,7 @@ inline long long peak_rss_kib() {
 // Host provenance block every BENCH_*.json carries: a throughput or kernel
 // number is only comparable to another run if the CPU topology and the ISA
 // tier the dispatcher picked are known. `dispatch_tier` is the tier the
-// bench actually ran with (active_shift_kernels().tier's name), which can
+// bench actually ran with (core::active_kernel_tier()'s name), which can
 // differ from the detected ISA under FLIGHTNN_FORCE_SCALAR or the test
 // override. The memory fields record what the run actually cost: the OS's
 // peak-RSS charge and the calling thread's scratch-arena footprint at

@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks for the compute kernels: quantizers,
-// the shift-add inference engine vs the float reference convolution, and
-// the Fig. 3 decomposition. These quantify the CPU-side costs; the
-// hardware win of shifts is modeled in hw/ (a CPU has a multiplier either
-// way, so shift-vs-multiply parity here is expected -- the interesting
-// numbers are quantization and decomposition overheads).
+// the shift layers' exact integer GEMM (per VGG-7 geometry and tier) vs the
+// float reference convolution, and the Fig. 3 decomposition. These quantify
+// the CPU-side costs; the hardware win of shifts is modeled in hw/ (a CPU
+// has a multiplier either way, so the CPU lowers shift layers to a dense
+// int16 GEMM -- the interesting numbers are the GEMM's ns per shift and
+// the quantization and decomposition overheads).
 
 #include <benchmark/benchmark.h>
 
@@ -14,14 +15,15 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/gemm.hpp"
 #include "core/decompose.hpp"
 #include "core/flightnn_transform.hpp"
 #include "inference/shift_engine.hpp"
-#include "inference/shift_kernels.hpp"
 #include "nn/conv2d.hpp"
 #include "quant/lightnn.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -99,9 +101,9 @@ void BM_ShiftEngineConv(benchmark::State& state) {
 }
 BENCHMARK(BM_ShiftEngineConv)->Arg(1)->Arg(2);
 
-// Sparsity elision payoff: the same layer with a fraction of its filters
-// pruned to zero. Arg is the pruned percentage; plan work is proportional
-// to surviving entries, so 50 should run ~2x faster than 0.
+// Filter-pruning payoff: the same layer with a fraction of its filters
+// pruned to zero. Arg is the pruned percentage; pruned filters are not GEMM
+// rows, so 50 should run close to 2x faster than 0.
 void BM_ShiftEngineConvSparse(benchmark::State& state) {
   const auto pruned_percent = static_cast<std::int64_t>(state.range(0));
   support::Rng rng(6);
@@ -124,45 +126,68 @@ void BM_ShiftEngineConvSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_ShiftEngineConvSparse)->Arg(0)->Arg(50)->Arg(90);
 
-// One-time plan-compilation cost (decompose + SoA lowering), amortized over
-// an engine's lifetime.
+// One-time engine construction cost (decompose + plan lowering + panel
+// packing), amortized over an engine's lifetime.
 void BM_PlanCompile(benchmark::State& state) {
   const quant::Pow2Config config;
   tensor::Tensor w = random_weights(64, 64, 13);
   tensor::Tensor wq = quant::quantize_lightnn(w, 2, config);
   for (auto _ : state) {
     inference::ShiftConv2d engine(wq, 2, config, 1, 1);
-    benchmark::DoNotOptimize(engine.plan().entries());
+    benchmark::DoNotOptimize(engine.panel().w16.data());
   }
   state.SetItemsProcessed(state.iterations() * w.numel());
 }
 BENCHMARK(BM_PlanCompile);
 
-// The same plan executed under a pinned kernel tier (Arg: 0 = scalar,
-// 1 = AVX2; on a host without AVX2 the dispatcher falls back and both args
-// measure the scalar kernels). The ratio Arg(0)/Arg(1) is the per-layer
-// vectorization speedup; the machine-readable ns/term rows land in
-// BENCH_shift_engine.json (see emit_kernel_tier_rows below).
-void BM_ShiftEngineConvTier(benchmark::State& state) {
-  const int tier = static_cast<int>(state.range(0));
-  support::Rng rng(6);
-  const quant::Pow2Config config;
-  tensor::Tensor w = random_weights(32, 32, 7);
-  tensor::Tensor wq = quant::quantize_lightnn(w, 2, config);
-  tensor::Tensor img = tensor::Tensor::randn(tensor::Shape{32, 16, 16}, rng);
-  const auto qimg = inference::quantize_image(img, 8);
-  inference::ShiftConv2d engine(wq, 2, config, 1, 1);
-  inference::set_kernel_tier_override(tier);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(qimg));
-  }
-  inference::set_kernel_tier_override(-1);
-  state.SetItemsProcessed(state.iterations() * 32 * 32 * 16 * 16 * 9);
-}
-BENCHMARK(BM_ShiftEngineConvTier)->Arg(0)->Arg(1);
+// The seven convs of Table-1 network 1 (VGG-7/64) at full width on a 32x32
+// input: {in_channels, out_channels, input side}.
+struct ConvGeometry {
+  std::int64_t in_channels, out_channels, side;
+};
+constexpr ConvGeometry kVgg7Convs[] = {{3, 8, 32},  {8, 16, 32}, {16, 16, 16},
+                                       {16, 32, 16}, {32, 32, 8}, {32, 64, 8},
+                                       {64, 64, 4}};
 
-// Same shift-add convolution with the output-filter blocks fanned out over
-// the runtime pool. Arg is the thread count; Arg(1) should match
+// One VGG-7 conv layer (im2col + int GEMM + fused dequantize) as production
+// runs it, built from random k=2 weights.
+struct Vgg7Layer {
+  inference::ShiftConv2d engine;
+  inference::QuantizedActivations image;
+  std::int64_t macs;
+};
+
+Vgg7Layer vgg7_layer(std::size_t index) {
+  const ConvGeometry& g = kVgg7Convs[index];
+  const quant::Pow2Config config;
+  support::Rng rng(40 + index);
+  tensor::Tensor w =
+      random_weights(g.out_channels, g.in_channels, 41 + index);
+  tensor::Tensor img = tensor::Tensor::randn(
+      tensor::Shape{g.in_channels, g.side, g.side}, rng);
+  return {inference::ShiftConv2d(quant::quantize_lightnn(w, 2, config), 2,
+                                 config, 1, 1),
+          inference::quantize_image(img, 8),
+          g.out_channels * g.in_channels * 9 * g.side * g.side};
+}
+
+// Args: {VGG-7 conv index, tier (0 = scalar, 1 = avx2)}. On a host without
+// AVX2 both tiers measure the scalar GEMM. Per-layer ns/shift rows for
+// both tiers land in BENCH_shift_engine.json (emit_int_gemm_rows below).
+void BM_IntGemmVgg7(benchmark::State& state) {
+  const Vgg7Layer layer = vgg7_layer(static_cast<std::size_t>(state.range(0)));
+  core::set_kernel_tier_override(static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.engine.run(layer.image));
+  }
+  core::set_kernel_tier_override(-1);
+  state.SetItemsProcessed(state.iterations() * layer.macs);
+}
+BENCHMARK(BM_IntGemmVgg7)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {0, 1}});
+
+// Same shift-layer convolution with its GEMM tiles fanned out over the
+// runtime pool. Arg is the thread count; Arg(1) should match
 // BM_ShiftEngineConv/2 (the serial fast path) to within noise.
 void BM_ShiftEngineConvParallel(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
@@ -228,121 +253,95 @@ void BM_Im2ColGemmConv(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2ColGemmConv);
 
-// Scalar-vs-vector per-kernel rows (ns/term), spliced into the
-// BENCH_shift_engine.json that throughput_scaling writes so the kernel
-// numbers live next to the whole-network numbers instead of stdout-only.
-// Measures one conv layer (conv_interior kernel + scalar border) and one
-// linear layer (shift_dot kernel) under both tiers, asserting byte-identical
-// output; falls back to a standalone file when the target does not exist.
-int emit_kernel_tier_rows(const std::string& path, bool smoke) {
+// Scalar-vs-avx2 rows per VGG-7 conv (us per layer, ns per shift of the
+// paper's datapath census), spliced into the BENCH_shift_engine.json that
+// throughput_scaling writes so the kernel numbers live next to the
+// whole-network numbers instead of stdout-only. Both tiers must produce
+// byte-identical output; falls back to a standalone file when the target
+// does not exist.
+int emit_int_gemm_rows(const std::string& path, bool smoke) {
   runtime::set_num_threads(1);
   const int repeats = smoke ? 5 : 25;
-  const quant::Pow2Config config;
-  support::Rng rng(21);
-
-  tensor::Tensor wc = random_weights(32, 32, 7);
-  tensor::Tensor wcq = quant::quantize_lightnn(wc, 2, config);
-  const inference::ShiftConv2d conv(wcq, 2, config, 1, 1);
-  tensor::Tensor img = tensor::Tensor::randn(tensor::Shape{32, 32, 32}, rng);
-  const auto qimg = inference::quantize_image(img, 8);
-
-  tensor::Tensor wl =
-      tensor::Tensor::randn(tensor::Shape{256, 512}, rng, 0.0F, 0.3F);
-  tensor::Tensor wlq = quant::quantize_lightnn(wl, 2, config);
-  const inference::ShiftLinear linear(wlq, 2, config);
-  tensor::Tensor vec = tensor::Tensor::randn(tensor::Shape{512}, rng);
-  const auto qvec = inference::quantize_tensor(vec, 8);
-
-  // Interleaved scalar/vector sampling: alternating single runs so slow
-  // clock drift (turbo ramp-up, VM steal time) hits both tiers equally --
+  // Interleaved scalar/avx2 sampling: alternating single runs so slow clock
+  // drift (turbo ramp-up, VM steal time) hits both tiers equally --
   // block-wise timing systematically favors whichever tier runs later.
-  std::vector<double> cs, cv, ls, lv;
-  for (std::vector<double>* v : {&cs, &cv, &ls, &lv}) {
-    v->reserve(static_cast<std::size_t>(repeats));
-  }
-  const auto sample = [](int tier, const auto& fn) {
-    inference::set_kernel_tier_override(tier);
+  const auto sample = [](int tier, const Vgg7Layer& layer) {
+    core::set_kernel_tier_override(tier);
     const auto start = std::chrono::steady_clock::now();
-    fn();
+    (void)layer.engine.run(layer.image);
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(stop - start).count();
   };
-  sample(0, [&] { (void)conv.run(qimg); });  // warm-up both tiers
-  sample(1, [&] { (void)conv.run(qimg); });
-  for (int r = 0; r < repeats; ++r) {
-    cs.push_back(sample(0, [&] { (void)conv.run(qimg); }));
-    cv.push_back(sample(1, [&] { (void)conv.run(qimg); }));
-    ls.push_back(sample(0, [&] { (void)linear.run(qvec); }));
-    lv.push_back(sample(1, [&] { (void)linear.run(qvec); }));
-  }
   const auto median = [](std::vector<double>& v) {
     std::sort(v.begin(), v.end());
     return v[v.size() / 2];
   };
-  const double conv_scalar_s = median(cs);
-  const double conv_vec_s = median(cv);
-  const double lin_scalar_s = median(ls);
-  const double lin_vec_s = median(lv);
-  inference::set_kernel_tier_override(0);
-  const tensor::Tensor conv_scalar_out = conv.run(qimg);
-  const tensor::Tensor lin_scalar_out = linear.run(qvec);
-  inference::set_kernel_tier_override(1);
-  const tensor::Tensor conv_vec_out = conv.run(qimg);
-  const tensor::Tensor lin_vec_out = linear.run(qvec);
-  inference::set_kernel_tier_override(-1);
-  if (std::memcmp(conv_scalar_out.data(), conv_vec_out.data(),
-                  static_cast<std::size_t>(conv_scalar_out.numel()) *
-                      sizeof(float)) != 0 ||
-      std::memcmp(lin_scalar_out.data(), lin_vec_out.data(),
-                  static_cast<std::size_t>(lin_scalar_out.numel()) *
-                      sizeof(float)) != 0) {
-    std::fprintf(stderr, "FATAL: scalar and vector kernel outputs differ\n");
-    return 1;
+  std::vector<std::string> layers;
+  for (std::size_t i = 0; i < std::size(kVgg7Convs); ++i) {
+    const Vgg7Layer layer = vgg7_layer(i);
+    core::set_kernel_tier_override(0);
+    inference::OpCounts counts;
+    const tensor::Tensor scalar_out = layer.engine.run(layer.image, &counts);
+    core::set_kernel_tier_override(1);
+    const tensor::Tensor avx2_out = layer.engine.run(layer.image);
+    if (std::memcmp(scalar_out.data(), avx2_out.data(),
+                    static_cast<std::size_t>(scalar_out.numel()) *
+                        sizeof(float)) != 0) {
+      std::fprintf(stderr, "FATAL: scalar and avx2 GEMM outputs differ\n");
+      return 1;
+    }
+    std::vector<double> scalar_s, avx2_s;
+    for (int r = 0; r < repeats; ++r) {
+      scalar_s.push_back(sample(0, layer));
+      avx2_s.push_back(sample(1, layer));
+    }
+    const double scalar_med = median(scalar_s);
+    const double avx2_med = median(avx2_s);
+    const auto shifts = static_cast<double>(counts.shifts);
+    const ConvGeometry& g = kVgg7Convs[i];
+    bench::JsonObject row;
+    row.add_int("layer", static_cast<long long>(i));
+    row.add_int("in_channels", g.in_channels);
+    row.add_int("out_channels", g.out_channels);
+    row.add_int("side", g.side);
+    row.add_number("scalar_us", scalar_med * 1e6);
+    row.add_number("avx2_us", avx2_med * 1e6);
+    row.add_number("scalar_ns_per_shift", scalar_med * 1e9 / shifts);
+    row.add_number("avx2_ns_per_shift", avx2_med * 1e9 / shifts);
+    row.add_number("avx2_speedup", scalar_med / avx2_med);
+    layers.push_back(row.to_string(4));
+    std::printf("vgg7 conv%zu %lldx%lld@%lld: %.1f us scalar, %.1f us avx2 "
+                "(%.3f ns/shift, %.2fx)\n",
+                i, static_cast<long long>(g.in_channels),
+                static_cast<long long>(g.out_channels),
+                static_cast<long long>(g.side), scalar_med * 1e6,
+                avx2_med * 1e6, avx2_med * 1e9 / shifts, scalar_med / avx2_med);
   }
+  core::set_kernel_tier_override(-1);
 
-  const double conv_terms = static_cast<double>(conv.term_count());
-  const double lin_terms = static_cast<double>(linear.term_count());
-  // ns per single-shift term per output pixel for the conv layer (the plan
-  // visits every term once per output position), plain ns/term for linear.
-  const double conv_positions = 32.0 * 32.0;
   bench::JsonObject rows;
-  rows.add_string(
-      "vector_tier",
-      inference::kernel_tier_name(
-          inference::shift_kernels_for(inference::KernelTier::kAvx2).tier));
+  rows.add_string("vector_tier",
+                  support::cpu_has_avx2() ? "avx2" : "scalar");
   rows.add_int("repeats", repeats);
-  rows.add_number("conv_interior_scalar_ns_per_term",
-                  conv_scalar_s * 1e9 / (conv_terms * conv_positions));
-  rows.add_number("conv_interior_vector_ns_per_term",
-                  conv_vec_s * 1e9 / (conv_terms * conv_positions));
-  rows.add_number("conv_interior_vector_speedup", conv_scalar_s / conv_vec_s);
-  rows.add_number("shift_dot_scalar_ns_per_term",
-                  lin_scalar_s * 1e9 / lin_terms);
-  rows.add_number("shift_dot_vector_ns_per_term", lin_vec_s * 1e9 / lin_terms);
-  rows.add_number("shift_dot_vector_speedup", lin_scalar_s / lin_vec_s);
+  rows.add("int_gemm_vgg7", bench::json_array(layers));
   rows.add_bool("tiers_bit_identical", true);
 
   if (bench::merge_into_json_file(path, "kernels_microbench", rows)) {
-    std::printf("merged kernel tier rows into %s\n", path.c_str());
+    std::printf("merged int GEMM rows into %s\n", path.c_str());
   } else {
     bench::JsonObject out;
     out.add_string("bench", "kernels_microbench");
     out.add_string("git_sha", bench::git_sha());
-    bench::add_host_info(out, inference::kernel_tier_name(
-                                  inference::active_shift_kernels().tier));
+    bench::add_host_info(out, core::kernel_tier_name(core::active_kernel_tier()));
     out.add("kernels_microbench", rows.to_string(2));
     const std::string fallback = "BENCH_kernels_microbench.json";
     if (!bench::write_json_file(fallback, out)) {
       std::fprintf(stderr, "FATAL: could not write %s\n", fallback.c_str());
       return 1;
     }
-    std::printf("%s not found; wrote kernel tier rows to %s\n", path.c_str(),
+    std::printf("%s not found; wrote int GEMM rows to %s\n", path.c_str(),
                 fallback.c_str());
   }
-  std::printf(
-      "conv interior: %.2fx vector speedup; shift_dot: %.2fx vector "
-      "speedup (bit-identical)\n",
-      conv_scalar_s / conv_vec_s, lin_scalar_s / lin_vec_s);
   return 0;
 }
 
@@ -350,8 +349,8 @@ int emit_kernel_tier_rows(const std::string& path, bool smoke) {
 
 // Custom main so CI can pass a bare `--smoke` switch (it becomes a short
 // minimum measuring time, keeping the full suite under a few seconds) and
-// `--bench-json PATH` (the BENCH_shift_engine.json to splice the kernel
-// tier rows into; default looks in the working directory).
+// `--bench-json PATH` (the BENCH_shift_engine.json to splice the int GEMM
+// rows into; default looks in the working directory).
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   std::string bench_json = "BENCH_shift_engine.json";
@@ -375,5 +374,5 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return emit_kernel_tier_rows(bench_json, is_smoke);
+  return emit_int_gemm_rows(bench_json, is_smoke);
 }

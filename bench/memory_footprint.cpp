@@ -30,10 +30,10 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/gemm.hpp"
 #include "core/quantize_model.hpp"
 #include "inference/memory_plan.hpp"
 #include "inference/quantized_network.hpp"
-#include "inference/shift_kernels.hpp"
 #include "models/networks.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
 
   // --- Result file ---------------------------------------------------------
   const char* active_tier =
-      inference::kernel_tier_name(inference::active_shift_kernels().tier);
+      core::kernel_tier_name(core::active_kernel_tier());
   bench::JsonObject out;
   out.add_string("bench", "memory");
   out.add_string("git_sha", bench::git_sha());

@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/gemm.hpp"
 #include "core/quantize_model.hpp"
 #include "inference/quantized_network.hpp"
-#include "inference/shift_kernels.hpp"
 #include "models/networks.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/inference_request.hpp"
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
   out.add("qps_sweep", bench::json_array(sweep_json));
   out.add_number("saturation_img_per_s", saturation_img_s);
   bench::add_host_info(
-      out, inference::kernel_tier_name(inference::active_shift_kernels().tier));
+      out, core::kernel_tier_name(core::active_kernel_tier()));
   const std::string json_path = parser.get("--json");
   if (!bench::write_json_file(json_path, out)) {
     std::fprintf(stderr, "FATAL: could not write %s\n", json_path.c_str());

@@ -1,32 +1,37 @@
-// Throughput of the compiled shift-plan runtime: images/second of a Table-1
+// Throughput of the shift-layer runtime: images/second of a Table-1
 // CIFAR-10 network (id 1, VGG-7/64) swept over thread counts, scalar vs
-// vector kernel tier, per-term kernel cost, and the sparsity payoff of a
+// avx2 kernel tier, per-term layer cost, and the sparsity payoff of a
 // 50%-pruned layer vs its dense twin. The parallelism is across batch elements
-// (BatchRunner) composed with output-filter blocks inside each kernel, all
-// drawing from one shared pool -- so scaling reflects the whole runtime,
-// not a single kernel.
+// (BatchRunner) composed with GEMM tiles inside each layer, all drawing
+// from one shared pool -- so scaling reflects the whole runtime, not a
+// single kernel.
 //
 //   $ ./bench/throughput_scaling [--batch N] [--repeats R] [--width-scale S]
 //                                [--json PATH] [--smoke]
 //
 // Results are bit-identical across thread counts (asserted per sweep), so
-// the img/s column is the only thing that changes. Measurements land in a
-// BENCH_shift_engine.json file stamped with the git revision.
+// the img/s column is the only thing that changes. Each sweep point also
+// records the cores the host actually delivered (a fixed spin load on 1
+// thread vs on `threads` threads, measured just before the point): on a
+// shared VM a flat sweep next to ~1 effective core is the host, not the
+// runtime. Measurements land in a BENCH_shift_engine.json file stamped with
+// the git revision.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/gemm.hpp"
 #include "core/quantize_model.hpp"
 #include "inference/quantized_network.hpp"
 #include "inference/shift_engine.hpp"
-#include "inference/shift_kernels.hpp"
-#include "inference/shift_plan.hpp"
 #include "models/networks.hpp"
 #include "quant/lightnn.hpp"
 #include "runtime/batch_runner.hpp"
@@ -71,6 +76,46 @@ bool bitwise_equal(const std::vector<tensor::Tensor>& a,
     }
   }
   return true;
+}
+
+// Wall time of `threads` threads each running the same fixed dependent
+// integer loop (~10 ms on one core).
+double spin_seconds(int threads) {
+  std::vector<std::uint64_t> sink(static_cast<std::size_t>(threads));
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> spinners;
+  spinners.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    spinners.emplace_back([&sink, t] {
+      std::uint64_t x = static_cast<std::uint64_t>(t) + 1U;
+      for (int i = 0; i < 4'000'000; ++i) {
+        x ^= x << 13U;
+        x ^= x >> 7U;
+        x ^= x << 17U;
+      }
+      sink[static_cast<std::size_t>(t)] = x;
+    });
+  }
+  for (auto& spinner : spinners) spinner.join();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  volatile std::uint64_t keep = 0;
+  for (const std::uint64_t v : sink) keep = keep + v;
+  return elapsed;
+}
+
+// Cores the host delivers to `threads` busy threads right now: threads x
+// (1-thread spin time / `threads`-thread spin time), best of three each so
+// transient preemption is filtered out.
+double effective_cores(int threads) {
+  double one = 1e300;
+  double all = 1e300;
+  for (int r = 0; r < 3; ++r) {
+    one = std::min(one, spin_seconds(1));
+    all = std::min(all, spin_seconds(threads));
+  }
+  return static_cast<double>(threads) * one / all;
 }
 
 // Median-of-repeats wall time of one engine run, in seconds.
@@ -166,12 +211,14 @@ int main(int argc, char** argv) {
   if (hw > 4) sweep.push_back(hw);
 
   // --- Thread sweep (compiled plan) --------------------------------------
-  support::Table table({"threads", "img/s", "speedup vs 1", "bit-identical"});
+  support::Table table(
+      {"threads", "img/s", "speedup vs 1", "effective cores", "bit-identical"});
   std::vector<std::string> sweep_json;
   double baseline = 0.0;
   std::vector<tensor::Tensor> reference;
   for (const int threads : sweep) {
     runtime::set_num_threads(threads);
+    const double cores = effective_cores(threads);
     std::vector<tensor::Tensor> logits;
     const double throughput = run_once(runner, request, repeats, &logits);
     if (threads == 1) {
@@ -183,11 +230,13 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(threads),
                    support::format_fixed(throughput, 1),
                    support::format_fixed(throughput / baseline, 2),
+                   support::format_fixed(cores, 2),
                    identical ? "yes" : "NO (BUG)"});
     bench::JsonObject point;
     point.add_int("threads", threads);
     point.add_number("img_per_s", throughput);
     point.add_number("speedup_vs_1", throughput / baseline);
+    point.add_number("effective_cores", cores);
     sweep_json.push_back(point.to_string(2));
     if (!identical) {
       std::fprintf(stderr, "FATAL: %d-thread output differs from serial\n",
@@ -202,8 +251,8 @@ int main(int argc, char** argv) {
 
   // --- Per-term kernel cost + sparsity payoff on one conv layer -----------
   // Dense 32x32x3x3 layer vs the same layer with half its filters pruned:
-  // plan work is proportional to surviving entries, so the pruned layer
-  // should run close to 2x faster.
+  // pruned filters are not GEMM rows, so the pruned layer should run close
+  // to 2x faster (the shared im2col pass keeps it a little short of that).
   const quant::Pow2Config pow2;
   support::Rng layer_rng(3);
   tensor::Tensor w = tensor::Tensor::randn(tensor::Shape{32, 32, 3, 3},
@@ -221,15 +270,15 @@ int main(int argc, char** argv) {
       tensor::Tensor::randn(tensor::Shape{32, 32, 32}, layer_rng);
   const auto qimg = inference::quantize_image(layer_img, 8);
 
-  // --- Scalar vs vectorized plan path -------------------------------------
-  // Same compiled plan, only the dispatch tier changes (test override pins
-  // it per sample, interleaved, then clears). The ratio is the interior-conv
-  // kernel speedup the vector tier buys on this host -- ~1.0x on machines
-  // without AVX2 (tier 1 falls back to the scalar table) or under
-  // FLIGHTNN_FORCE_SCALAR. Pruning must not change the tier a layer
-  // dispatches to: a pruned plan has fewer entries, not a different layout.
-  const inference::KernelTier active = inference::active_shift_kernels().tier;
-  const char* active_tier = inference::kernel_tier_name(active);
+  // --- Scalar vs avx2 GEMM tier ------------------------------------------
+  // Same layer, only the dispatch tier changes (test override pins it per
+  // sample, interleaved, then clears). The ratio is what the avx2 int16
+  // GEMM buys over the portable int64 one on this host -- ~1.0x on machines
+  // without AVX2 or under FLIGHTNN_FORCE_SCALAR. Pruning must not change
+  // the tier a layer dispatches to: a pruned layer has fewer GEMM rows, not
+  // a different kernel.
+  const core::KernelTier active = core::active_kernel_tier();
+  const char* active_tier = core::kernel_tier_name(active);
   if (std::string(dense.kernel_tier(8)) != pruned.kernel_tier(8)) {
     std::fprintf(stderr, "FATAL: pruning changed kernel tier (%s vs %s)\n",
                  dense.kernel_tier(8), pruned.kernel_tier(8));
@@ -238,86 +287,33 @@ int main(int argc, char** argv) {
   const auto [dense_vector_s, dense_scalar_s] = time_layer_ab(
       layer_repeats,
       [&] {
-        inference::set_kernel_tier_override(1);
+        core::set_kernel_tier_override(1);
         (void)dense.run(qimg);
       },
       [&] {
-        inference::set_kernel_tier_override(0);
+        core::set_kernel_tier_override(0);
         (void)dense.run(qimg);
       });
-  inference::set_kernel_tier_override(-1);
+  core::set_kernel_tier_override(-1);
   const double dense_s =
-      active == inference::KernelTier::kAvx2 ? dense_vector_s : dense_scalar_s;
+      active == core::KernelTier::kAvx2 ? dense_vector_s : dense_scalar_s;
   const double pruned_s =
       time_layer(layer_repeats, [&] { (void)pruned.run(qimg); });
   const double sparse_speedup = dense_s / pruned_s;
   const double ns_per_term =
       dense_s * 1e9 / static_cast<double>(dense.term_count());
 
-  // --- Interior kernel proper, both tier tables over the same plan --------
-  // The whole-layer A/B above includes the guarded border walk and the float
-  // dequantize tail, which run identical code on both tiers (~12% of a 32x32
-  // output plane plus one float pass) and dilute the ratio. The acceptance
-  // number times the dispatched interior kernel alone: the layer's compiled
-  // streams, the same derived per-entry offsets the engine builds
-  // (channel plane + kernel tap), per-filter zeroed planes, interleaved
-  // sampling as above. On hosts without AVX2 the kAvx2 table falls back to
-  // scalar and the ratio reads ~1.0x.
-  const inference::ShiftPlan& dense_plan = dense.plan();
-  const std::int64_t lw = 32;
-  const std::int64_t lhw = lw * lw;
-  std::vector<std::int64_t> entry_off(
-      static_cast<std::size_t>(dense_plan.entries()));
-  for (std::size_t e = 0; e < entry_off.size(); ++e) {
-    entry_off[e] = static_cast<std::int64_t>(dense_plan.channel[e]) * lhw +
-                   static_cast<std::int64_t>(dense_plan.ky[e]) * lw +
-                   dense_plan.kx[e];
-  }
-  const inference::ConvInteriorGeom interior{lw, lw, 1, 1, lw - 1, 1, lw - 1};
-  const auto run_interior = [&](inference::ConvInteriorFn fn,
-                                std::int32_t* acc) {
-    for (std::int64_t f = 0; f < 32; ++f) {
-      std::fill(acc, acc + lhw, std::int32_t{0});
-      fn(qimg.values.data(), entry_off.data(), dense_plan.mult.data(),
-         dense_plan.filter_begin[static_cast<std::size_t>(f)],
-         dense_plan.filter_begin[static_cast<std::size_t>(f) + 1], interior,
-         acc);
-    }
-  };
-  const inference::ConvInteriorFn scalar_fn =
-      inference::shift_kernels_for(inference::KernelTier::kScalar)
-          .conv_interior_i32;
-  const inference::ConvInteriorFn vector_fn =
-      inference::shift_kernels_for(inference::KernelTier::kAvx2)
-          .conv_interior_i32;
-  std::vector<std::int32_t> acc_scalar(static_cast<std::size_t>(lhw), 0);
-  std::vector<std::int32_t> acc_vector(static_cast<std::size_t>(lhw), 0);
-  run_interior(scalar_fn, acc_scalar.data());
-  run_interior(vector_fn, acc_vector.data());
-  if (std::memcmp(acc_scalar.data(), acc_vector.data(),
-                  acc_scalar.size() * sizeof(std::int32_t)) != 0) {
-    std::fprintf(stderr,
-                 "FATAL: interior kernel tiers disagree on the last filter "
-                 "plane\n");
-    return 1;
-  }
-  const auto [interior_vector_s, interior_scalar_s] = time_layer_ab(
-      layer_repeats, [&] { run_interior(vector_fn, acc_vector.data()); },
-      [&] { run_interior(scalar_fn, acc_scalar.data()); });
-  const double interior_conv_vector_speedup =
-      interior_scalar_s / interior_vector_s;
-
-  inference::set_kernel_tier_override(0);
+  core::set_kernel_tier_override(0);
   std::vector<tensor::Tensor> scalar_logits;
   const double scalar_img_s =
       run_once(runner, request, repeats, &scalar_logits);
-  inference::set_kernel_tier_override(-1);
+  core::set_kernel_tier_override(-1);
   // Both tiers -- the active one (thread-sweep baseline `reference`) and
-  // the scalar one -- must produce byte-identical logits: they regroup the
-  // same integer addends.
+  // the scalar one -- must produce byte-identical logits: they compute the
+  // same exact integer sums.
   if (!bitwise_equal(reference, scalar_logits)) {
     std::fprintf(stderr,
-                 "FATAL: kernel tiers disagree (vector vs scalar logits)\n");
+                 "FATAL: kernel tiers disagree (avx2 vs scalar logits)\n");
     return 1;
   }
 
@@ -329,15 +325,14 @@ int main(int argc, char** argv) {
               ns_per_term, active_tier);
   std::printf("50%%-pruned layer: %.3f ms (%.2fx faster than dense)\n",
               pruned_s * 1e3, sparse_speedup);
-  std::printf("scalar-tier dense conv layer: %.3f ms\n", dense_scalar_s * 1e3);
   std::printf(
-      "interior conv kernel: %.3f ms scalar vs %.3f ms vector -> "
-      "%.2fx vector speedup\n",
-      interior_scalar_s * 1e3, interior_vector_s * 1e3,
-      interior_conv_vector_speedup);
+      "dense conv layer: %.3f ms scalar vs %.3f ms avx2 -> %.2fx avx2 "
+      "speedup\n",
+      dense_scalar_s * 1e3, dense_vector_s * 1e3,
+      dense_scalar_s / dense_vector_s);
   std::printf(
       "scalar-tier whole network (1 thread): %.1f img/s (vs %.1f img/s %s "
-      "tier); vector/scalar logits bit-identical\n",
+      "tier); avx2/scalar logits bit-identical\n",
       scalar_img_s, plan_img_s, active_tier);
 
   // --- Result file --------------------------------------------------------
@@ -357,9 +352,7 @@ int main(int argc, char** argv) {
   out.add_string("dispatch_tier", active_tier);
   out.add_number("dense_layer_vector_ms", dense_vector_s * 1e3);
   out.add_number("dense_layer_scalar_ms", dense_scalar_s * 1e3);
-  out.add_number("interior_kernel_vector_ms", interior_vector_s * 1e3);
-  out.add_number("interior_kernel_scalar_ms", interior_scalar_s * 1e3);
-  out.add_number("interior_conv_vector_speedup", interior_conv_vector_speedup);
+  out.add_number("dense_layer_vector_speedup", dense_scalar_s / dense_vector_s);
   out.add_number("scalar_img_per_s_1thread", scalar_img_s);
   out.add_bool("tiers_bit_identical", true);
   bench::add_host_info(out, active_tier);

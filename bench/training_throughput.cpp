@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/gemm.hpp"
 #include "core/quantize_model.hpp"
-#include "inference/shift_kernels.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "models/networks.hpp"
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   out.add("thread_sweep", bench::json_array(sweep_json));
   out.add_bool("reg_loss_bit_identical_across_threads", deterministic);
   bench::add_host_info(
-      out, inference::kernel_tier_name(inference::active_shift_kernels().tier));
+      out, core::kernel_tier_name(core::active_kernel_tier()));
   const std::string json_path = parser.get("--json");
   if (!bench::write_json_file(json_path, out)) {
     std::fprintf(stderr, "FATAL: could not write %s\n", json_path.c_str());

@@ -11,13 +11,20 @@
 //
 // On success the compiled plan's structural invariants are asserted:
 // filter_begin is a monotone prefix-sum table ending at entries(), and all
-// per-entry streams have equal length.
+// per-entry streams have equal length. Every accepted plan is then adopted
+// by a ShiftConv2d / ShiftLinear -- whose constructor packs it into the GEMM
+// weight panel -- and run on one tiny image: adoption and run must either
+// succeed or throw CheckFailure (element outside the layer, a multiplier
+// too wide for the accumulator, bad geometry).
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
+#include <utility>
 #include <vector>
 
 #include "core/decompose.hpp"
+#include "inference/shift_engine.hpp"
 #include "inference/shift_plan.hpp"
 #include "quant/pow2.hpp"
 #include "support/check.hpp"
@@ -28,6 +35,10 @@ namespace {
 
 using flightnn::core::Decomposition;
 using flightnn::core::Pow2FilterTerm;
+using flightnn::inference::QuantizedActivations;
+using flightnn::inference::ShiftConv2d;
+using flightnn::inference::ShiftLinear;
+using flightnn::inference::ShiftLowering;
 using flightnn::inference::ShiftPlan;
 using flightnn::quant::Pow2Config;
 using flightnn::quant::Pow2Term;
@@ -73,6 +84,35 @@ void check_plan_invariants(const ShiftPlan& plan, bool spatial) {
   }
 }
 
+// A deterministic [channels, side, side] image of 8-bit codes.
+QuantizedActivations tiny_image(std::int64_t channels, std::int64_t side) {
+  QuantizedActivations q;
+  q.shape = flightnn::tensor::Shape{channels, side, side};
+  for (std::int64_t i = 0; i < channels * side * side; ++i) {
+    q.values.push_back(static_cast<std::int32_t>((i * 37) % 255) - 127);
+  }
+  return q;
+}
+
+void adopt_and_run_conv(ShiftPlan plan, const Pow2Config& config,
+                        std::int64_t in_channels, std::int64_t kernel) {
+  const std::int64_t filters = plan.filters;
+  const ShiftConv2d engine(ShiftLowering{std::move(plan), 0},
+                           {filters, in_channels, kernel, 1, kernel / 2},
+                           config);
+  (void)engine.run(tiny_image(in_channels, kernel));
+}
+
+void adopt_and_run_linear(ShiftPlan plan, const Pow2Config& config,
+                          std::int64_t in_features) {
+  const std::int64_t filters = plan.filters;
+  const ShiftLinear engine(ShiftLowering{std::move(plan), 0},
+                           {filters, in_features}, config);
+  QuantizedActivations q = tiny_image(in_features, 1);
+  q.shape = flightnn::tensor::Shape{in_features};
+  (void)engine.run(q);
+}
+
 void fuzz_compile(const std::uint8_t* data, std::size_t size) {
   ByteProgram program(data, size);
 
@@ -112,15 +152,20 @@ void fuzz_compile(const std::uint8_t* data, std::size_t size) {
   }
 
   try {
-    const ShiftPlan plan =
+    ShiftPlan plan =
         ShiftPlan::compile_conv(decomposition, config, in_channels, kernel);
     check_plan_invariants(plan, /*spatial=*/true);
+    adopt_and_run_conv(std::move(plan), config, in_channels, kernel);
   } catch (const flightnn::support::CheckFailure&) {
-    // typed rejection: bad geometry, out-of-range filter/sign/shift
+    // typed rejection: bad geometry, out-of-range filter/sign/shift,
+    // element outside the layer, accumulator overflow
   }
   try {
-    const ShiftPlan plan = ShiftPlan::compile_linear(decomposition, config);
+    ShiftPlan plan = ShiftPlan::compile_linear(decomposition, config);
     check_plan_invariants(plan, /*spatial=*/false);
+    adopt_and_run_linear(std::move(plan), config,
+                         std::max<std::int64_t>(
+                             1, decomposition.elements_per_filter));
   } catch (const flightnn::support::CheckFailure&) {
   }
 }

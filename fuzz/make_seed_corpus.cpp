@@ -201,6 +201,21 @@ void emit_shift_plan(const fs::path& dir) {
              {5, 6, 0, 2, 1, 0, 0, 4,
               /*term0*/ 0, 0, 1, /*w*/ 1, 0xFB});
   write_seed(dir, "max_counts", pseudo_random(512, 0xF1A9U));
+  // Adopted-engine seeds. A 64-level window (e_min -63) lets exponents
+  // reach far above e_min: a shift-15 weight is 2^15, one past int16, so
+  // the panel goes int64 and runs; a shift-61 pair saturates the gain, so
+  // run must reject. Zero-sign terms leave every filter pruned (no GEMM
+  // rows).
+  write_seed(dir, "wide_multiplier",
+             {62, 63, 1, 2, 2, 1, 2, 4,
+              /*term0*/ 0, 0, 3, /*w*/ 1, 0xD0, /*w*/ 0xFF, 0xD1, /*w*/ 1, 0xC1,
+              /*term1*/ 1, 1, 2, /*w*/ 1, 0xD0, /*w*/ 1, 0xD0});
+  write_seed(dir, "oversized_multiplier",
+             {62, 63, 1, 2, 1, 1, 2, 4,
+              /*term0*/ 1, 0, 2, /*w*/ 1, 0xFE, /*w*/ 0xFF, 0xFE});
+  write_seed(dir, "all_pruned",
+             {5, 6, 1, 4, 1, 2, 3, 18,
+              /*term0*/ 2, 0, 3, /*w*/ 0, 0xFB, /*w*/ 0, 0xFC, /*w*/ 0, 0xFA});
 }
 
 // One deterministic seed per corruption class of the artifact loader's

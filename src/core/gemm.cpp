@@ -1,6 +1,7 @@
 #include "core/gemm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -12,6 +13,8 @@
 #include "runtime/thread_pool.hpp"
 #include "support/annotations.hpp"
 #include "support/check.hpp"
+#include "support/env.hpp"
+#include "support/simd.hpp"
 #include "tensor/buffer_pool.hpp"
 
 namespace flightnn::core {
@@ -313,6 +316,252 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
   // b is [n x k] row-major; B^T(p, j) = b[j * k + p].
   gemm_strided(a, /*a_rs=*/k, /*a_cs=*/1, b, /*b_rs=*/1, /*b_cs=*/k, c, m, k,
                n, accumulate);
+}
+
+// --- Exact integer GEMM ------------------------------------------------------
+
+namespace {
+
+// Task block of the integer GEMM: kIntMc rows x kIntNc columns, both whole
+// register tiles. Inside a task the column tile is the outer loop, so one
+// kIntGemmNr-wide slice of X stays in L1 while every row tile streams past.
+constexpr std::int64_t kIntMc = 16;
+constexpr std::int64_t kIntNc = 128;
+static_assert(kIntMc % kIntGemmMr == 0 && kIntNc % kIntGemmNr == 0,
+              "integer GEMM task blocks must be whole register tiles");
+// Order-of-magnitude cost of one integer multiply-add for the parallel_for
+// gate.
+constexpr double kNsPerIntMac = 0.05;
+
+// -1 = no override; otherwise a KernelTier value forced by tests.
+std::atomic<int> g_tier_override{-1};
+
+// Tier from FLIGHTNN_FORCE_SCALAR and the CPU, resolved once per process.
+KernelTier detected_kernel_tier() {
+  static const KernelTier tier = [] {
+    if (support::env_int("FLIGHTNN_FORCE_SCALAR").value_or(0) != 0) {
+      return KernelTier::kScalar;
+    }
+    return support::cpu_has_avx2() ? KernelTier::kAvx2 : KernelTier::kScalar;
+  }();
+  return tier;
+}
+
+// Fused store of one register tile, acc[r * kIntGemmNr + j]: dequantize as
+// a multiply then an add. The scale is a power of two (or zero after
+// underflow) and float(acc) is an integer with at most 24 significant bits,
+// so the product is exact short of overflow to inf. The add therefore sees
+// the same operand whether or not the compiler contracts the pair into an
+// FMA (-march=native builds may), and the store is bit-exact either way.
+template <typename AccT>
+FLIGHTNN_HOT void store_tile(const AccT* acc, std::int64_t row0,
+                             std::int64_t mr, std::int64_t j0, std::int64_t nc,
+                             const IntGemmStore& st) {
+  for (std::int64_t r = 0; r < mr; ++r) {
+    const std::int64_t o = st.row_map[row0 + r];
+    const float b = st.bias != nullptr ? st.bias[o] : 0.0F;
+    float* dst = st.out + o * st.ldo + j0;
+    const AccT* a = acc + r * kIntGemmNr;
+    for (std::int64_t j = 0; j < nc; ++j) {
+      dst[j] = static_cast<float>(a[j]) * st.scale + b;
+    }
+  }
+}
+
+// Portable tier: one kIntGemmMr x nc tile in int64. `wt` is the row tile's
+// panel, `x` the column tile's first pair. nc == 1 with ld == 1 is the dot
+// product of the linear layers, which always run here.
+template <typename TW>
+FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void int_tile_scalar(
+    const TW* wt, const std::int16_t* x, std::int64_t pairs, std::int64_t ld,
+    std::int64_t nc, std::int64_t* acc) {
+  std::fill(acc, acc + kIntGemmMr * kIntGemmNr, std::int64_t{0});
+  for (std::int64_t p = 0; p < pairs; ++p) {
+    const TW* wp = wt + p * 2 * kIntGemmMr;
+    const std::int16_t* xp = x + p * ld * 2;
+    for (std::int64_t r = 0; r < kIntGemmMr; ++r) {
+      const std::int64_t w0 = wp[2 * r];
+      const std::int64_t w1 = wp[2 * r + 1];
+      std::int64_t* a = acc + r * kIntGemmNr;
+      for (std::int64_t j = 0; j < nc; ++j) {
+        a[j] += w0 * xp[2 * j] + w1 * xp[2 * j + 1];
+      }
+    }
+  }
+}
+
+// Runs `tile(row0, mr, j0, nc)` over every register tile of the output,
+// parallel over kIntMc x kIntNc task blocks. Each output element belongs to
+// exactly one tile, so the partition never changes any arithmetic.
+template <typename TileFn>
+void for_each_int_tile(const IntGemmShape& s, const TileFn& tile) {
+  const std::int64_t m_tasks = (s.rows + kIntMc - 1) / kIntMc;
+  const std::int64_t n_tasks = (s.cols + kIntNc - 1) / kIntNc;
+  const runtime::CostHint cost{
+      2.0 * static_cast<double>(std::min(kIntMc, s.rows)) *
+      static_cast<double>(std::min(kIntNc, s.cols)) *
+      static_cast<double>(s.pairs) * kNsPerIntMac};
+  runtime::parallel_for(
+      0, m_tasks * n_tasks, 1, cost,
+      [&](std::int64_t t_begin, std::int64_t t_end) {
+        for (std::int64_t t = t_begin; t < t_end; ++t) {
+          const std::int64_t r_begin = (t / n_tasks) * kIntMc;
+          const std::int64_t r_end = std::min(s.rows, r_begin + kIntMc);
+          const std::int64_t c_begin = (t % n_tasks) * kIntNc;
+          const std::int64_t c_end = std::min(s.cols, c_begin + kIntNc);
+          for (std::int64_t j0 = c_begin; j0 < c_end; j0 += kIntGemmNr) {
+            const std::int64_t nc = std::min(kIntGemmNr, c_end - j0);
+            for (std::int64_t row0 = r_begin; row0 < r_end;
+                 row0 += kIntGemmMr) {
+              tile(row0, std::min(kIntGemmMr, r_end - row0), j0, nc);
+            }
+          }
+        }
+      });
+}
+
+template <typename TW>
+void int_gemm_scalar(const TW* w, const std::int16_t* x,
+                     const IntGemmShape& s, const IntGemmStore& st) {
+  const std::int64_t ld = int_gemm_ld(s.cols);
+  for_each_int_tile(s, [&](std::int64_t row0, std::int64_t mr,
+                           std::int64_t j0, std::int64_t nc) {
+    std::int64_t acc[kIntGemmMr * kIntGemmNr];
+    int_tile_scalar(w + row0 * s.pairs * 2, x + j0 * 2, s.pairs, ld, nc, acc);
+    store_tile(acc, row0, mr, j0, nc, st);
+  });
+}
+
+#ifdef FLIGHTNN_GEMM_X86_DISPATCH
+
+// The int32 holding the K-pair at `p` (two adjacent int16).
+inline std::int32_t load_pair(const std::int16_t* p) {
+  std::int32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// 4 x 16 vpmaddwd tile: eight int32 accumulators, two X vectors and one
+// broadcast weight pair live per K-pair step. Each vpmaddwd lane adds
+// w(r, 2p) * x(2p, j) + w(r, 2p+1) * x(2p+1, j) -- exact under the narrow
+// bound, as is every accumulator partial sum. Reads only whole padded
+// tiles, which the packed layouts always hold.
+__attribute__((target("avx2"))) FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void
+int_tile_avx2(const std::int16_t* wt, const std::int16_t* x,
+              std::int64_t pairs, std::int64_t ld, std::int32_t* acc) {
+  static_assert(kIntGemmMr == 4 && kIntGemmNr == 16, "tile shape");
+  __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
+  __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
+  __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
+  __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
+  for (std::int64_t p = 0; p < pairs; ++p) {
+    const std::int16_t* xp = x + p * ld * 2;
+    const __m256i x0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xp));
+    const __m256i x1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xp + 16));
+    const std::int16_t* wp = wt + p * 2 * kIntGemmMr;
+    __m256i w = _mm256_set1_epi32(load_pair(wp));
+    c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(w, x0));
+    c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(w, x1));
+    w = _mm256_set1_epi32(load_pair(wp + 2));
+    c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(w, x0));
+    c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(w, x1));
+    w = _mm256_set1_epi32(load_pair(wp + 4));
+    c20 = _mm256_add_epi32(c20, _mm256_madd_epi16(w, x0));
+    c21 = _mm256_add_epi32(c21, _mm256_madd_epi16(w, x1));
+    w = _mm256_set1_epi32(load_pair(wp + 6));
+    c30 = _mm256_add_epi32(c30, _mm256_madd_epi16(w, x0));
+    c31 = _mm256_add_epi32(c31, _mm256_madd_epi16(w, x1));
+  }
+  const __m256i rows[kIntGemmMr][2] = {
+      {c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
+  for (std::int64_t r = 0; r < kIntGemmMr; ++r) {
+    __m256i* dst = reinterpret_cast<__m256i*>(acc + r * kIntGemmNr);
+    _mm256_storeu_si256(dst, rows[r][0]);
+    _mm256_storeu_si256(dst + 1, rows[r][1]);
+  }
+}
+
+// Fused store of a full 16-column tile, eight lanes at a time.
+__attribute__((target("avx2"))) FLIGHTNN_HOT void store_tile_avx2(
+    const std::int32_t* acc, std::int64_t row0, std::int64_t mr,
+    std::int64_t j0, const IntGemmStore& st) {
+  const __m256 scale = _mm256_set1_ps(st.scale);
+  for (std::int64_t r = 0; r < mr; ++r) {
+    const std::int64_t o = st.row_map[row0 + r];
+    const __m256 b = _mm256_set1_ps(st.bias != nullptr ? st.bias[o] : 0.0F);
+    float* dst = st.out + o * st.ldo + j0;
+    for (std::int64_t j = 0; j < kIntGemmNr; j += 8) {
+      const __m256 v = _mm256_cvtepi32_ps(_mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(acc + r * kIntGemmNr + j)));
+      _mm256_storeu_ps(dst + j,
+                       _mm256_add_ps(_mm256_mul_ps(v, scale), b));
+    }
+  }
+}
+
+void int_gemm_avx2(const std::int16_t* w, const std::int16_t* x,
+                   const IntGemmShape& s, const IntGemmStore& st) {
+  const std::int64_t ld = int_gemm_ld(s.cols);
+  for_each_int_tile(s, [&](std::int64_t row0, std::int64_t mr,
+                           std::int64_t j0, std::int64_t nc) {
+    alignas(32) std::int32_t acc[kIntGemmMr * kIntGemmNr];
+    int_tile_avx2(w + row0 * s.pairs * 2, x + j0 * 2, s.pairs, ld, acc);
+    if (nc == kIntGemmNr) {
+      store_tile_avx2(acc, row0, mr, j0, st);
+    } else {
+      store_tile(acc, row0, mr, j0, nc, st);
+    }
+  });
+}
+
+#endif  // FLIGHTNN_GEMM_X86_DISPATCH
+
+}  // namespace
+
+const char* kernel_tier_name(KernelTier tier) {
+  return tier == KernelTier::kAvx2 ? "avx2" : "scalar";
+}
+
+KernelTier active_kernel_tier() {
+  const int forced = g_tier_override.load(std::memory_order_relaxed);
+  const KernelTier tier =
+      forced >= 0 ? static_cast<KernelTier>(forced) : detected_kernel_tier();
+  return tier == KernelTier::kAvx2 && support::cpu_has_avx2()
+             ? KernelTier::kAvx2
+             : KernelTier::kScalar;
+}
+
+void set_kernel_tier_override(int tier) {
+  g_tier_override.store(tier, std::memory_order_relaxed);
+}
+
+FLIGHTNN_HOT void int_gemm(KernelTier tier, const std::int16_t* w,
+                           const std::int16_t* x, const IntGemmShape& shape,
+                           const IntGemmStore& store) {
+  FLIGHTNN_DCHECK(shape.rows >= 0 && shape.pairs >= 0 && shape.cols >= 0,
+                  "int_gemm: negative shape");
+  if (shape.rows == 0 || shape.cols == 0) return;
+#ifdef FLIGHTNN_GEMM_X86_DISPATCH
+  // A single packed column (ld 1) is narrower than the avx2 tile reads.
+  if (tier == KernelTier::kAvx2 && shape.cols > 1 && support::cpu_has_avx2()) {
+    int_gemm_avx2(w, x, shape, store);
+    return;
+  }
+#else
+  (void)tier;
+#endif
+  int_gemm_scalar(w, x, shape, store);
+}
+
+FLIGHTNN_HOT void int_gemm(const std::int64_t* w, const std::int16_t* x,
+                           const IntGemmShape& shape,
+                           const IntGemmStore& store) {
+  FLIGHTNN_DCHECK(shape.rows >= 0 && shape.pairs >= 0 && shape.cols >= 0,
+                  "int_gemm: negative shape");
+  if (shape.rows == 0 || shape.cols == 0) return;
+  int_gemm_scalar(w, x, shape, store);
 }
 
 }  // namespace flightnn::core

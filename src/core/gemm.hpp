@@ -35,6 +35,11 @@
 //
 // The naive single-thread kernels these replace live on as differential
 // oracles in tensor/ops.hpp (tensor::gemm, tensor::matmul_*).
+//
+// The second half of this header is the exact integer GEMM the shift
+// layers of the inference engine run on (DESIGN.md §14): int16 weight
+// panels times an int16 activation panel, accumulated exactly and
+// dequantized in the store pass.
 
 #include <cstdint>
 
@@ -60,5 +65,96 @@ void gemm_strided(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                   const float* b, std::int64_t b_rs, std::int64_t b_cs,
                   float* c, std::int64_t m, std::int64_t k, std::int64_t n,
                   bool accumulate);
+
+// --- Exact integer GEMM (shift-layer inference, DESIGN.md §14) -------------
+//
+// C[rows x cols] = W[rows x depth] * X[depth x cols] over integers, with the
+// dequantize-and-bias epilogue fused into the store:
+//   out[row_map[r] * ldo + j] = float(C[r][j]) * scale + bias[row_map[r]]
+// with `scale` a power of two: the product is then exact, so the result is
+// bit-identical to dequantizing an exact accumulator whether or not the
+// compiler fuses the multiply and add into an FMA.
+//
+// Both operands are packed in K-pairs so one vpmaddwd lane multiplies and
+// adds two depth steps at once:
+//   W (rows padded to kIntGemmMr, depth to an even count, zero-filled):
+//     w(r, k) at ((r / kIntGemmMr) * pairs + k / 2) * 2 * kIntGemmMr
+//                + (r % kIntGemmMr) * 2 + k % 2
+//   X (ld = int_gemm_ld(cols) columns, padding zero-filled):
+//     x(k, j) at ((k / 2) * ld + j) * 2 + k % 2
+// A single column (cols == 1, the linear layers) packs with ld 1 and runs
+// on the scalar tier whatever tier is asked for.
+//
+// Tiers. kScalar accumulates in int64 and is exact whenever no partial sum
+// leaves int64; it is the portable route and serves weights wider than
+// int16 (the int64 overload). kAvx2 accumulates in int32 lanes and is
+// exact under the narrow bound the caller must establish: every |x| times
+// the largest per-row sum of |w| is at most INT32_MAX. That bound covers
+// each vpmaddwd pair sum and every partial sum, so both tiers produce the
+// same integers and the same floats. Rows are split into independent tiles
+// and each output is written by exactly one task, so results are also
+// bit-identical at every thread count.
+
+enum class KernelTier : int { kScalar = 0, kAvx2 = 1 };
+
+// Stable lowercase name for bench JSON and --profile output.
+const char* kernel_tier_name(KernelTier tier);
+
+// The tier shift layers dispatch to: resolved once per process from
+// FLIGHTNN_FORCE_SCALAR (any nonzero integer forces kScalar) and the CPU's
+// capabilities, unless a test override is installed. Never kAvx2 on a CPU
+// without AVX2.
+KernelTier active_kernel_tier();
+
+// Test hook: force a tier for later active_kernel_tier() calls (0 = scalar,
+// 1 = avx2, -1 = clear the override). Not for production use.
+void set_kernel_tier_override(int tier);
+
+// Register tile of the integer kernels.
+inline constexpr std::int64_t kIntGemmMr = 4;
+inline constexpr std::int64_t kIntGemmNr = 16;
+
+// Depth pairs for `depth` (odd depths end in a zero-padded pair).
+inline std::int64_t int_gemm_pairs(std::int64_t depth) {
+  return (depth + 1) / 2;
+}
+// Rows padded to whole register tiles.
+inline std::int64_t int_gemm_padded_rows(std::int64_t rows) {
+  return (rows + kIntGemmMr - 1) / kIntGemmMr * kIntGemmMr;
+}
+// Packed X row pitch in columns.
+inline std::int64_t int_gemm_ld(std::int64_t cols) {
+  return cols == 1 ? 1 : (cols + kIntGemmNr - 1) / kIntGemmNr * kIntGemmNr;
+}
+// Index of w(r, k) in a packed weight panel.
+inline std::int64_t int_gemm_weight_index(std::int64_t r, std::int64_t k,
+                                          std::int64_t pairs) {
+  return ((r / kIntGemmMr) * pairs + k / 2) * 2 * kIntGemmMr +
+         (r % kIntGemmMr) * 2 + k % 2;
+}
+
+struct IntGemmShape {
+  std::int64_t rows = 0;   // live weight rows
+  std::int64_t pairs = 0;  // int_gemm_pairs(depth)
+  std::int64_t cols = 0;   // output columns
+};
+
+// Fused dequantize-and-bias store.
+struct IntGemmStore {
+  float* out = nullptr;
+  std::int64_t ldo = 0;                     // output row pitch
+  const std::int32_t* row_map = nullptr;    // GEMM row -> output row
+  const float* bias = nullptr;              // per output row; null = 0
+  float scale = 1.0F;                       // a power of two, or 0
+};
+
+// int16 panels on `tier` (kAvx2 requires the narrow bound above and falls
+// back to kScalar on a CPU without AVX2 or for a single column).
+void int_gemm(KernelTier tier, const std::int16_t* w, const std::int16_t* x,
+              const IntGemmShape& shape, const IntGemmStore& store);
+
+// Weights wider than int16: scalar int64 route only.
+void int_gemm(const std::int64_t* w, const std::int16_t* x,
+              const IntGemmShape& shape, const IntGemmStore& store);
 
 }  // namespace flightnn::core

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <map>
 
+#include "core/conv_lowering.hpp"
 #include "inference/quantized_network.hpp"
-#include "inference/shift_engine.hpp"
 #include "runtime/scratch_arena.hpp"
 #include "support/check.hpp"
 #include "support/env.hpp"
@@ -91,6 +91,18 @@ struct MemoryPlan::Analysis {
         std::max(quant_peak_values, static_cast<std::size_t>(values));
   }
 
+  // The op's int16 patch-panel scratch for im2col_pairs over `geom`
+  // (ShiftConv2d/ShiftLinear::run fetch exactly this many elements).
+  void note_patches(OpMemory& mem, std::uint32_t t,
+                    const tensor::ConvGeometry& geom) {
+    mem.scratch_bytes =
+        static_cast<std::size_t>(core::im2col_pairs_scratch(geom)) *
+        sizeof(std::int16_t);
+    intervals.push_back(runtime::BufferInterval{
+        t, runtime::Scratch::kPatchPanel, mem.scratch_bytes, t, t,
+        runtime::kUnassignedOffset});
+  }
+
   // Walk the ops of a residual segment as a chain: entry deep copy, then
   // each op consuming the previous output. `t_fallback` is the time an
   // empty chain's pass-through copy happens at.
@@ -136,21 +148,7 @@ struct MemoryPlan::Analysis {
                        "memory plan: shift conv at op ", t,
                        " produces empty output from ", in.to_string());
         note_quant(mem, in.numel());
-        mem.offsets_bytes =
-            static_cast<std::size_t>(op.plan.entries()) * sizeof(std::int64_t);
-        const std::size_t acc_elem =
-            plan_narrow_accumulator(op.plan, op.act_bits)
-                ? sizeof(std::int32_t)
-                : sizeof(std::int64_t);
-        mem.accumulator_bytes =
-            static_cast<std::size_t>(out_h * out_w) * acc_elem;
-        mem.scratch_bytes = mem.offsets_bytes + mem.accumulator_bytes;
-        intervals.push_back(runtime::BufferInterval{
-            t, runtime::Scratch::kConvOffsets, mem.offsets_bytes, t, t,
-            runtime::kUnassignedOffset});
-        intervals.push_back(runtime::BufferInterval{
-            t, runtime::Scratch::kConvAccumulator, mem.accumulator_bytes, t, t,
-            runtime::kUnassignedOffset});
+        note_patches(mem, t, geom);
         use(cur, t);
         return define(t, Shape{out_c, out_h, out_w});
       }
@@ -190,8 +188,11 @@ struct MemoryPlan::Analysis {
       }
       case ProgramOpKind::kShiftLinear: {
         const std::int64_t out_f = op.out_channels;
-        FLIGHTNN_CHECK(out_f > 0, "memory plan: bad shift linear at op ", t);
+        FLIGHTNN_CHECK(out_f > 0 && op.in_channels > 0,
+                       "memory plan: bad shift linear at op ", t);
         note_quant(mem, in.numel());
+        note_patches(mem, t,
+                     tensor::ConvGeometry{op.in_channels, 1, 1, 1, 1, 0});
         use(cur, t);
         return define(t, Shape{out_f});
       }

@@ -2,15 +2,15 @@
 
 // Offline buffer-liveness analysis over a NetworkProgram (DESIGN.md §15).
 // At plan-compile time (and again in-loader for artifact-adopted programs,
-// like PR 9's vector-stream rebuild -- the format stays v1) the planner
+// like the engines' GEMM panel packing -- the format stays v1) the planner
 // simulates the program's execution shape-by-shape and derives, for every
 // op, exactly which buffers its kernel will touch and for how long:
 //
-//   - Arena scratch (conv im2row offset tables and accumulator planes):
-//     packed into one 64-byte-aligned per-thread arena by the interval
-//     coloring in runtime/memory_plan.hpp. Accumulator extents use the
-//     *static* narrow gate (plan_narrow_accumulator), so a plan that always
-//     runs int32 is planned at 4 bytes/element, not the worst-case 8.
+//   - Arena scratch (each shift layer's int16 K-pair patch panel, the one
+//     operand of its GEMM built per image): packed into one 64-byte-aligned
+//     per-thread arena by the interval coloring in runtime/memory_plan.hpp.
+//     Activations are int16 on every GEMM route, so the extent is exact;
+//     accumulators live in registers.
 //   - Activations (step outputs, residual chain-entry copies, reshapes):
 //     value-semantic pooled tensors, so they stay in tensor::pool; the
 //     planner accounts their live intervals and prewarms the pool with the
@@ -42,10 +42,8 @@ namespace flightnn::inference {
 struct OpMemory {
   std::uint32_t op = 0;
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
-  // Arena-backed scratch this op's kernel fetches (planned extents).
-  std::size_t offsets_bytes = 0;
-  std::size_t accumulator_bytes = 0;
-  std::size_t scratch_bytes = 0;  // offsets + accumulator
+  // Arena-backed scratch this op's kernel fetches (its planned patch panel).
+  std::size_t scratch_bytes = 0;
   // Lowest planned arena offset among this op's extents (kUnassignedOffset
   // when the op uses no arena scratch).
   std::size_t scratch_offset = runtime::kUnassignedOffset;

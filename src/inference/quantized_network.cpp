@@ -231,8 +231,8 @@ class FlattenStep final : public Step {
 
 class ShiftLinearStep final : public Step {
  public:
-  ShiftLinearStep(ShiftLinear engine, int act_bits)
-      : engine_(std::move(engine)), act_bits_(act_bits) {}
+  ShiftLinearStep(ShiftLinear engine, int act_bits, runtime::PlanContext ctx)
+      : engine_(std::move(engine)), act_bits_(act_bits), ctx_(ctx) {}
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* counts) const override {
     // No explicit flatten: quantization is shape-oblivious and the engine
@@ -241,7 +241,8 @@ class ShiftLinearStep final : public Step {
     quantize_tensor_into(input, act_bits_, q);
     q.shape = tensor::Shape{input.numel()};
     OpCounts ops{};
-    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr);
+    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr,
+                                     ctx_.layout != nullptr ? &ctx_ : nullptr);
     if (counts != nullptr) {
       counts->shifts += ops.shifts;
       counts->adds += ops.adds;
@@ -261,6 +262,7 @@ class ShiftLinearStep final : public Step {
  private:
   ShiftLinear engine_;
   int act_bits_;
+  runtime::PlanContext ctx_;  // see ShiftConvStep
 };
 
 class FloatLinearStep final : public Step {
@@ -414,7 +416,7 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       return std::make_unique<ShiftLinearStep>(
           ShiftLinear({std::move(op.plan), op.term_count}, spec, op.pow2,
                       std::move(op.bias)),
-          op.act_bits);
+          op.act_bits, ctx);
     }
     case ProgramOpKind::kFloatLinear:
       FLIGHTNN_CHECK(op.weights.shape().rank() == 2,
@@ -469,27 +471,17 @@ void fill_planned_scratch(const MemoryPlan& plan, std::uint32_t begin,
     const OpMemory& mem = plan.per_op()[op];
     if (mem.scratch_bytes == 0) continue;
     total += mem.scratch_bytes;
-    if (mem.offsets_bytes > 0) ++buffers;
-    if (mem.accumulator_bytes > 0) ++buffers;
-    if (detail.empty()) {
-      const auto off = plan.layout().find(op, runtime::Scratch::kConvOffsets);
-      const auto acc =
-          plan.layout().find(op, runtime::Scratch::kConvAccumulator);
-      if (off.offset != runtime::kUnassignedOffset) {
-        detail += "off@" + std::to_string(off.offset) + "+" +
-                  format_bytes(off.bytes);
-      }
-      if (acc.offset != runtime::kUnassignedOffset) {
-        if (!detail.empty()) detail += " ";
-        detail += "acc@" + std::to_string(acc.offset) + "+" +
-                  format_bytes(acc.bytes);
-      }
+    ++buffers;
+    const auto panel = plan.layout().find(op, runtime::Scratch::kPatchPanel);
+    if (detail.empty() && panel.offset != runtime::kUnassignedOffset) {
+      detail = "patch@" + std::to_string(panel.offset) + "+" +
+               format_bytes(panel.bytes);
     }
   }
   out.planned_scratch_bytes = total;
   if (total == 0) {
     out.planned_layout = "-";
-  } else if (buffers <= 2) {
+  } else if (buffers == 1) {
     out.planned_layout = detail;
   } else {
     out.planned_layout =

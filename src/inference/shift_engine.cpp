@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <type_traits>
 
+#include "core/conv_lowering.hpp"
 #include "core/decompose.hpp"
-#include "inference/shift_kernels.hpp"
+#include "core/gemm.hpp"
 #include "runtime/scratch_arena.hpp"
-#include "runtime/thread_pool.hpp"
 #include "support/annotations.hpp"
 #include "support/check.hpp"
 
@@ -63,27 +62,22 @@ std::int64_t max_abs_value(const std::vector<std::int32_t>& values) {
   return max_abs;
 }
 
-// Hoisted overflow contract shared by both run paths: |accumulator| <=
-// max|q| * filter_gain, so one check per filter replaces the per-element
-// DCHECK the inner loop would otherwise carry. (The bound sums absolute
-// contributions, so it also covers every intermediate partial sum.)
-#if FLIGHTNN_DCHECKS_ENABLED
-void dcheck_no_overflow(const QuantizedActivations& input,
-                        const PlanArray<std::int64_t>& filter_gain,
-                        const char* what) {
-  const std::int64_t max_q = input.abs_max();
-  for (std::size_t o = 0; o < filter_gain.size(); ++o) {
-    const std::int64_t gain = filter_gain[o];
-    FLIGHTNN_DCHECK(gain == 0 || (gain < kAccumulatorGuard &&
-                                  max_q <= (kAccumulatorGuard - 1) / gain),
-                    what, ": accumulator could overflow at filter ", o,
-                    " (gain ", gain, ", max |q| ", max_q, ")");
-  }
+// Run-time contract shared by both engines: activations must fit the int16
+// panels, and no accumulation may leave int64. Every partial sum of a row is
+// bounded by max|q| * max_gain (the gain sums absolute contributions), so
+// one check per run covers every accumulate of both GEMM routes. Properly
+// quantized inputs (bits <= 16) always pass; hand-built activations or a
+// hostile plan whose gain saturates get a typed error instead of UB.
+constexpr std::int64_t kInt16Max = 0x7fff;
+void check_accumulator_range(std::int64_t amax, std::int64_t max_gain,
+                             const char* what) {
+  FLIGHTNN_CHECK(amax <= kInt16Max, what, ": activation magnitude ", amax,
+                 " does not fit int16");
+  FLIGHTNN_CHECK(max_gain < kAccumulatorGuard &&
+                     (max_gain == 0 || amax <= (kAccumulatorGuard - 1) / max_gain),
+                 what, ": accumulator could overflow (gain ", max_gain,
+                 ", max |q| ", amax, ")");
 }
-#else
-void dcheck_no_overflow(const QuantizedActivations&,
-                        const PlanArray<std::int64_t>&, const char*) {}
-#endif
 
 // Structural invariants shared by the plan-adopting constructors: stream
 // sizes consistent, filter_begin a monotone prefix over `filters`. Lowering
@@ -132,8 +126,8 @@ ShiftLinearSpec linear_spec(const tensor::Shape& s) {
   return ShiftLinearSpec{s[0], s[1]};
 }
 
-// Integer division helpers for the interior/valid-range arithmetic; both
-// require b > 0 and round the true quotient toward -inf / +inf.
+// Integer division helpers for the valid-range arithmetic; both require
+// b > 0 and round the true quotient toward -inf / +inf.
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   return a >= 0 ? a / b : -((-a + b - 1) / b);
 }
@@ -154,148 +148,114 @@ std::int64_t valid_positions(std::int64_t k, std::int64_t out_n,
   return hi >= lo ? hi - lo + 1 : 0;
 }
 
-// Geometry bundle for the conv integer kernel: everything the inner loops
-// need, precomputed by the caller so the kernel itself stays integer-only.
-struct ConvKernelGeom {
-  std::int64_t in_h = 0, in_w = 0, in_hw = 0;
-  std::int64_t out_h = 0, out_w = 0, out_hw = 0;
-  std::int64_t stride = 1, padding = 0;
-  // Interior rectangle: rows [oy_lo, oy_hi) x cols [ox_lo, ox_hi) read
-  // in-bounds for every kernel tap; everything outside takes the guarded
-  // border path.
-  std::int64_t oy_lo = 0, oy_hi = 0, ox_lo = 0, ox_hi = 0;
-};
-
-// Border half of the conv kernel: guarded accumulation of every output
-// position outside the interior rectangle, for all of filter f's entries.
-// Shared by the scalar path (via conv_accumulate_filter) and the vector
-// path (which handles only the interior); keeping one copy of the guard
-// logic keeps the two paths trivially in agreement. Accumulates on top of
-// whatever is already in `acc` -- interior-then-border versus the old
-// per-entry interleaving is a pure regrouping of exact integer adds, hence
-// bit-identical (DESIGN.md §9).
-template <typename AccT>
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_border_filter(
-    const ShiftPlan& plan, std::int64_t f, const ConvKernelGeom& g,
-    const std::int32_t* in_data, AccT* acc) {
-  const std::int64_t fb = plan.filter_begin[static_cast<std::size_t>(f)];
-  const std::int64_t fe = plan.filter_begin[static_cast<std::size_t>(f) + 1];
-  for (std::int64_t e = fb; e < fe; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    const AccT m =
-        static_cast<AccT>(plan.sign[ei]) * (AccT{1} << plan.shift[ei]);
-    const std::int64_t kyv = plan.ky[ei], kxv = plan.kx[ei];
-    const std::int64_t plane =
-        static_cast<std::int64_t>(plan.channel[ei]) * g.in_hw;
-    const auto border_span = [&](std::int64_t oy, std::int64_t x0,
-                                 std::int64_t x1) {
-      const std::int64_t iy = oy * g.stride + kyv - g.padding;
-      if (iy < 0 || iy >= g.in_h) return;
-      const std::int64_t row = plane + iy * g.in_w;
-      AccT* arow = acc + oy * g.out_w;
-      for (std::int64_t ox = x0; ox < x1; ++ox) {
-        const std::int64_t ix = ox * g.stride + kxv - g.padding;
-        if (ix < 0 || ix >= g.in_w) continue;
-        arow[ox] += static_cast<AccT>(in_data[row + ix]) * m;
-      }
-    };
-    for (std::int64_t oy = 0; oy < g.oy_lo; ++oy) border_span(oy, 0, g.out_w);
-    for (std::int64_t oy = g.oy_hi; oy < g.out_h; ++oy) {
-      border_span(oy, 0, g.out_w);
-    }
-    for (std::int64_t oy = g.oy_lo; oy < g.oy_hi; ++oy) {
-      border_span(oy, 0, g.ox_lo);
-      border_span(oy, g.ox_hi, g.out_w);
-    }
-  }
-}
-
-// Integer-only accumulation of one conv output plane (scalar tier). Each
-// filter's accumulator plane is owned by exactly one caller chunk. The entry
-// walk adds the same multiset of integer addends the reference term-walk
-// adds (the multiplier q * sign*2^shift equals the shift-and-signed-add
-// exactly -- no overflow by the gain bound), and integer addition without
-// overflow is associative and commutative, so the integer plane is
-// bit-identical to the term walk at any accumulator width and thread count.
-// Dequantization (the only float arithmetic) stays in the caller, after
-// this returns.
-template <typename AccT>
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL void conv_accumulate_filter(
-    const ShiftPlan& plan, std::int64_t f, const ConvKernelGeom& g,
-    const std::int32_t* in_data, const std::int64_t* off, AccT* acc) {
-  // Integer accumulators at scale 2^(input.scale_exp + e_min): each weight
-  // term sign * 2^e contributes sign * (q << (e - e_min)), a non-negative
-  // left shift since e >= e_min.
-  std::fill(acc, acc + g.out_hw, AccT{0});
-  const std::int64_t fb = plan.filter_begin[static_cast<std::size_t>(f)];
-  const std::int64_t fe = plan.filter_begin[static_cast<std::size_t>(f) + 1];
-  for (std::int64_t e = fb; e < fe; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    const AccT m =
-        static_cast<AccT>(plan.sign[ei]) * (AccT{1} << plan.shift[ei]);
-    // Interior: every (oy, ox) in the rectangle reads in-bounds, so the
-    // inner loop is a straight multiply-accumulate; the stride-1 form is
-    // contiguous and vectorizes.
-    for (std::int64_t oy = g.oy_lo; oy < g.oy_hi; ++oy) {
-      const std::int64_t rbase =
-          off[e] + (oy * g.stride - g.padding) * g.in_w - g.padding;
-      AccT* arow = acc + oy * g.out_w;
-      if (g.stride == 1) {
-        const std::int32_t* irow = in_data + rbase + g.ox_lo;
-        AccT* a = arow + g.ox_lo;
-        const std::int64_t n = g.ox_hi - g.ox_lo;
-        for (std::int64_t i = 0; i < n; ++i) {
-          a[i] += static_cast<AccT>(irow[i]) * m;
-        }
-      } else {
-        for (std::int64_t ox = g.ox_lo; ox < g.ox_hi; ++ox) {
-          arow[ox] += static_cast<AccT>(in_data[rbase + ox * g.stride]) * m;
-        }
-      }
-    }
-  }
-  // Border: guarded path for rows/columns whose kernel tap may fall outside
-  // the input.
-  conv_border_filter(plan, f, g, in_data, acc);
-}
-
-// Integer-only dot product of one linear output feature against the plan's
-// entry stream. Same regrouping argument as the conv kernel: bit-identical
-// to the reference term-walk; dequantization stays in the caller.
-FLIGHTNN_HOT FLIGHTNN_INT_KERNEL std::int64_t shift_dot(
-    const ShiftPlan& plan, std::int64_t f, const std::int32_t* in_data) {
-  const std::int64_t fb = plan.filter_begin[static_cast<std::size_t>(f)];
-  const std::int64_t fe = plan.filter_begin[static_cast<std::size_t>(f) + 1];
-  std::int64_t acc = 0;
-  for (std::int64_t e = fb; e < fe; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    // q * sign*2^shift equals the shift-and-signed-add exactly (no overflow
-    // by the gain bound) and keeps the loop branch-free.
-    const std::int64_t m = static_cast<std::int64_t>(plan.sign[ei]) *
-                           (std::int64_t{1} << plan.shift[ei]);
-    acc += static_cast<std::int64_t>(in_data[plan.element[ei]]) * m;
-  }
-  return acc;
-}
-
-// Largest per-filter accumulator gain of a plan (0 for an empty plan).
-std::int64_t plan_max_gain(const ShiftPlan& plan) {
-  std::int64_t max_gain = 0;
-  for (const std::int64_t g : plan.filter_gain) {
-    max_gain = std::max(max_gain, g);
-  }
-  return max_gain;
-}
-
 // Narrow (int32) accumulation bound: |any partial sum| <= max|q| * gain (the
 // gain sums absolute contributions), so when the product fits int32 the
-// whole accumulation can run in 32-bit lanes -- scalar or SIMD -- without
-// any value differing from the int64 computation. The per-entry multiplier
-// sign * 2^shift also fits (it is one of the gain's addends).
+// whole accumulation can run in 32-bit lanes without any value differing
+// from the int64 computation. Each vpmaddwd pair sum and each packed weight
+// (|w| <= gain) is one such partial sum.
 constexpr std::int64_t kNarrowMax = 0x7fffffff;
 bool narrow_bound_ok(std::int64_t max_gain, std::int64_t amax) {
   return max_gain <= kNarrowMax &&
          (max_gain == 0 || amax <= kNarrowMax / max_gain);
+}
+
+// Pack a structurally checked plan into its GEMM weight panel (see
+// ShiftPanel). Two passes over each live filter's entries -- one to find the
+// widest summed weight, one to write the panel -- so the only allocation is
+// the panel itself plus one depth-long row. Entries are validated here, not
+// trusted: a hostile plan gets a CheckFailure, never a wild index or an
+// overflowing shift.
+FLIGHTNN_COLD_ALLOC ShiftPanel build_panel(const ShiftPlan& plan,
+                                           std::int64_t depth,
+                                           const char* what) {
+  ShiftPanel panel;
+  panel.pairs = core::int_gemm_pairs(depth);
+  for (std::int64_t f = 0; f < plan.filters; ++f) {
+    const auto fi = static_cast<std::size_t>(f);
+    const bool pruned = plan.filter_begin[fi] == plan.filter_begin[fi + 1];
+    (pruned ? panel.pruned : panel.rows).push_back(static_cast<std::int32_t>(f));
+    panel.max_gain = std::max(panel.max_gain, plan.filter_gain[fi]);
+  }
+  // Summed weights of one filter, saturated at the accumulator guard: a
+  // saturated weight implies a saturated gain, which run() rejects before
+  // any arithmetic.
+  std::vector<std::int64_t> row(static_cast<std::size_t>(depth));
+  const auto sum_row = [&](std::int32_t f) {
+    std::fill(row.begin(), row.end(), std::int64_t{0});
+    const auto fi = static_cast<std::size_t>(f);
+    for (std::int64_t e = plan.filter_begin[fi]; e < plan.filter_begin[fi + 1];
+         ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      const std::int64_t element = plan.element[ei];
+      const int shift = plan.shift[ei];
+      const int sign = plan.sign[ei];
+      FLIGHTNN_CHECK(element >= 0 && element < depth, what, ": entry ", e,
+                     " element ", element, " outside [0, ", depth, ")");
+      FLIGHTNN_CHECK(shift >= 0 && shift < 62 && (sign == 1 || sign == -1),
+                     what, ": entry ", e, " has shift ", shift, " / sign ",
+                     sign);
+      std::int64_t& w = row[static_cast<std::size_t>(element)];
+      w = std::clamp(w + sign * (std::int64_t{1} << shift), -kAccumulatorGuard,
+                     kAccumulatorGuard);
+    }
+  };
+  std::int64_t widest = 0;
+  for (const std::int32_t f : panel.rows) {
+    sum_row(f);
+    for (const std::int64_t w : row) widest = std::max(widest, std::abs(w));
+  }
+  const auto live = static_cast<std::int64_t>(panel.rows.size());
+  const auto size = static_cast<std::size_t>(
+      core::int_gemm_padded_rows(live) * panel.pairs * 2);
+  const bool narrow = widest <= kInt16Max;
+  if (narrow) {
+    panel.w16.assign(size, 0);
+  } else {
+    panel.w64.assign(size, 0);
+  }
+  for (std::int64_t r = 0; r < live; ++r) {
+    sum_row(panel.rows[static_cast<std::size_t>(r)]);
+    for (std::int64_t k = 0; k < depth; ++k) {
+      const auto at =
+          static_cast<std::size_t>(core::int_gemm_weight_index(r, k, panel.pairs));
+      const std::int64_t w = row[static_cast<std::size_t>(k)];
+      if (narrow) {
+        panel.w16[at] = static_cast<std::int16_t>(w);
+      } else {
+        panel.w64[at] = w;
+      }
+    }
+  }
+  return panel;
+}
+
+// The tier a panel runs on for activations up to `amax`: the active tier
+// when its weights are int16 and the narrow bound holds, else the int64
+// scalar route.
+core::KernelTier panel_tier(const ShiftPanel& panel, std::int64_t amax) {
+  return !panel.w16.empty() && narrow_bound_ok(panel.max_gain, amax)
+             ? core::active_kernel_tier()
+             : core::KernelTier::kScalar;
+}
+
+// Multiply the panel by the packed activations `x` (`cols` columns) and
+// store the dequantized rows; pruned filters' rows get the exact value an
+// all-zero accumulator would dequantize to, 0 * scale + bias.
+FLIGHTNN_HOT void run_panel(const ShiftPanel& panel, const std::int16_t* x,
+                            std::int64_t cols, std::int64_t amax,
+                            const core::IntGemmStore& store) {
+  const core::IntGemmShape shape{static_cast<std::int64_t>(panel.rows.size()),
+                                 panel.pairs, cols};
+  if (panel.w16.empty()) {
+    core::int_gemm(panel.w64.data(), x, shape, store);
+  } else {
+    core::int_gemm(panel_tier(panel, amax), panel.w16.data(), x, shape, store);
+  }
+  for (const std::int32_t f : panel.pruned) {
+    const float b = store.bias != nullptr ? store.bias[f] : 0.0F;
+    float* out = store.out + f * store.ldo;
+    for (std::int64_t j = 0; j < cols; ++j) out[j] = 0.0F * store.scale + b;
+  }
 }
 
 // Shared core of the quantize functions: pow2 scale from the abs-max, values
@@ -358,16 +318,24 @@ void quantize_image_into(const tensor::Tensor& image, int bits,
                  s.to_string());
   FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_image: bits ", bits,
                  " outside [2, 16]");
+  // abs_max is NaN/Inf exactly when some element is, so one compare keeps
+  // non-finite input out of the float-to-int conversions below.
+  const float abs_max = image.abs_max();
+  FLIGHTNN_CHECK(std::isfinite(abs_max),
+                 "quantize_image: non-finite input (abs max ", abs_max, ")");
   out.shape = s.rank() == 3 ? s : tensor::Shape{s[1], s[2], s[3]};
-  quantize_values_into(image.data(), image.numel(), bits, image.abs_max(), out);
+  quantize_values_into(image.data(), image.numel(), bits, abs_max, out);
 }
 
 void quantize_tensor_into(const tensor::Tensor& x, int bits,
                           QuantizedActivations& out) {
   FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_tensor: bits ", bits,
                  " outside [2, 16]");
+  const float abs_max = x.abs_max();
+  FLIGHTNN_CHECK(std::isfinite(abs_max),
+                 "quantize_tensor: non-finite input (abs max ", abs_max, ")");
   out.shape = x.shape();
-  quantize_values_into(x.data(), x.numel(), bits, x.abs_max(), out);
+  quantize_values_into(x.data(), x.numel(), bits, abs_max, out);
 }
 
 tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
@@ -471,8 +439,7 @@ ShiftConv2d::ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
       stride_(spec.stride),
       padding_(spec.padding),
       term_count_(lowered.term_count),
-      bias_(std::move(bias)),
-      plan_(std::move(lowered.plan)) {
+      bias_(std::move(bias)) {
   FLIGHTNN_CHECK(out_channels_ > 0 && in_channels_ > 0 && kernel_ > 0,
                  "ShiftConv2d: bad adopted geometry [", out_channels_, ", ",
                  in_channels_, ", ", kernel_, "]");
@@ -481,11 +448,21 @@ ShiftConv2d::ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
-  check_adopted_plan(plan_, out_channels_, /*conv=*/true, "ShiftConv2d");
-  // In-loader repack for the vector tier: the adopted core streams stay
-  // zero-copy views into the artifact mapping; only the derived mult stream
-  // is materialized here (idempotent if the plan already carries it).
-  plan_.build_vector_streams();
+  // const reads: the streams may be zero-copy views into an artifact
+  // mapping. Only the GEMM panel and the per-tap entry census outlive
+  // construction; the plan itself is not kept.
+  const ShiftPlan& plan = lowered.plan;
+  check_adopted_plan(plan, out_channels_, /*conv=*/true, "ShiftConv2d");
+  panel_ = build_panel(plan, in_channels_ * kernel_ * kernel_, "ShiftConv2d");
+  tap_entries_.assign(static_cast<std::size_t>(kernel_ * kernel_), 0);
+  for (std::int64_t e = 0; e < plan.entries(); ++e) {
+    const auto ei = static_cast<std::size_t>(e);
+    const std::int64_t ky = plan.ky[ei], kx = plan.kx[ei];
+    FLIGHTNN_CHECK(ky >= 0 && ky < kernel_ && kx >= 0 && kx < kernel_,
+                   "ShiftConv2d: entry ", e, " tap (", ky, ", ", kx,
+                   ") outside the ", kernel_, "x", kernel_, " kernel");
+    ++tap_entries_[static_cast<std::size_t>(ky * kernel_ + kx)];
+  }
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
@@ -498,146 +475,41 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
                      input.shape.numel(),
                  "ShiftConv2d::run: ", input.values.size(),
                  " values do not fill shape ", input.shape.to_string());
+  const std::int64_t amax = input.abs_max();
+  check_accumulator_range(amax, panel_.max_gain, "ShiftConv2d::run");
   const std::int64_t in_h = input.shape[1], in_w = input.shape[2];
   const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
                                   padding_};
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
   const std::int64_t out_hw = out_h * out_w;
-  const std::int64_t in_hw = in_h * in_w;
+  FLIGHTNN_CHECK(out_h > 0 && out_w > 0, "ShiftConv2d::run: input ",
+                 input.shape.to_string(), " is smaller than the kernel");
 
-  dcheck_no_overflow(input, plan_.filter_gain, "ShiftConv2d::run");
-
-  // Interior region: output rows/cols whose full kernel support lands inside
-  // the input for every (ky, kx), so the hot loop needs no bounds checks.
-  // Rows below oy_lo or at/above oy_hi (and the column fringes of interior
-  // rows) take the guarded border path.
-  const std::int64_t oy_lo = std::min(out_h, ceil_div(padding_, stride_));
-  const std::int64_t ty = in_h + padding_ - kernel_;
-  const std::int64_t oy_hi =
-      ty < 0 ? oy_lo : std::max(oy_lo, std::min(out_h, ty / stride_ + 1));
-  const std::int64_t ox_lo = std::min(out_w, ceil_div(padding_, stride_));
-  const std::int64_t tx = in_w + padding_ - kernel_;
-  const std::int64_t ox_hi =
-      tx < 0 ? ox_lo : std::max(ox_lo, std::min(out_w, tx / stride_ + 1));
-
-  // Per-entry input offsets for this geometry (channel plane + kernel tap),
-  // built once into the caller's arena. Workers helping the parallel region
-  // read it through a raw pointer; it stays valid because the caller blocks
-  // inside parallel_for and slots are never shared between live kernels.
-  const std::int64_t n_entries = plan_.entries();
-  std::int64_t* offsets = runtime::ScratchArena::current().i64p(
-      ctx, runtime::Scratch::kConvOffsets, static_cast<std::size_t>(n_entries));
-  for (std::int64_t e = 0; e < n_entries; ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    offsets[static_cast<std::size_t>(e)] =
-        static_cast<std::int64_t>(plan_.channel[ei]) * in_hw +
-        static_cast<std::int64_t>(plan_.ky[ei]) * in_w + plan_.kx[ei];
-  }
-  const std::int64_t* off = offsets;
-  const std::int32_t* in_data = input.values.data();
-  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
+  // Lower the image into the K-pair patch panel (planned arena slot), then
+  // one GEMM per image with dequantize and bias fused into its store.
+  std::int16_t* patches = runtime::ScratchArena::current().i16p(
+      ctx, runtime::Scratch::kPatchPanel,
+      static_cast<std::size_t>(core::im2col_pairs_scratch(geom)));
+  core::im2col_pairs(input.values.data(), geom, patches);
   tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
-
-  // Accumulator width selection (narrow_bound_ok above). With 8-bit
-  // activations and the default exponent range the int32 path is taken for
-  // any realistic layer.
-  const std::int64_t max_gain = plan_max_gain(plan_);
-  const std::int64_t amax = input.abs_max();
-  const bool narrow = narrow_bound_ok(max_gain, amax);
-
-  const ConvKernelGeom geom_k{in_h,  in_w,  in_hw, out_h, out_w, out_hw,
-                              stride_, padding_, oy_lo, oy_hi, ox_lo, ox_hi};
-
-  // Kernel-tier dispatch (shift_kernels.hpp): the vector tier covers the
-  // stride-1 interior through the plan's derived mult stream and leaves the
-  // guarded border to the shared scalar conv_border_filter. It requires the
-  // narrow bound (int32 lanes) and stride 1 (contiguous output rows);
-  // everything else keeps the scalar plan path. Both tiers are bit-identical
-  // by the regrouping argument on conv_accumulate_filter.
-  const ShiftKernels& kern = active_shift_kernels();
-  const bool use_vector = narrow && stride_ == 1 &&
-                          kern.tier != KernelTier::kScalar &&
-                          plan_.vector_streams_built;
-  const ConvInteriorGeom interior{in_w, out_w, padding_,
-                                  oy_lo, oy_hi, ox_lo, ox_hi};
-
-  // Dequantize one accumulator plane and fold in the float bias.
-  const auto dequant_plane = [&](const auto* acc, std::int64_t f) {
-    const float b = bias_.empty() ? 0.0F : bias_[f];
-    float* out_plane = output.data() + f * out_hw;
-    for (std::int64_t i = 0; i < out_hw; ++i) {
-      out_plane[i] = static_cast<float>(acc[i]) * scale + b;
-    }
-  };
-
-  // One filter block, templated on the accumulator type: the integer kernel
-  // (conv_accumulate_filter, bit-identical to the term walk by the
-  // regrouping argument on its definition) followed by the float
-  // dequantize-and-bias tail.
-  const auto filter_block = [&](auto* acc, std::int64_t f_begin,
-                                std::int64_t f_end) {
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      conv_accumulate_filter(plan_, f, geom_k, in_data, off, acc);
-      dequant_plane(acc, f);
-    }
-  };
-
-  // Vector-tier filter block: zero the plane, run the dispatched interior
-  // kernel over the derived mult stream, then the shared scalar border.
-  const auto filter_block_vector = [&](std::int32_t* acc, std::int64_t f_begin,
-                                       std::int64_t f_end) {
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      std::fill(acc, acc + out_hw, std::int32_t{0});
-      kern.conv_interior_i32(
-          in_data, off, plan_.mult.data(),
-          plan_.filter_begin[static_cast<std::size_t>(f)],
-          plan_.filter_begin[static_cast<std::size_t>(f) + 1], interior, acc);
-      conv_border_filter(plan_, f, geom_k, in_data, acc);
-      dequant_plane(acc, f);
-    }
-  };
-
-  // Parallel across output-filter blocks, on the width the bound allows. The
-  // cost hint (~1 ns per accumulate, averaged over filters) routes the tiny
-  // smoke-scale layers through the serial path: BENCH_shift_engine had
-  // threads=4 at 0.94x of serial there before the gate.
-  const runtime::CostHint filter_cost{
-      static_cast<double>(n_entries) * static_cast<double>(out_hw) /
-      static_cast<double>(out_channels_)};
-  if (narrow) {
-    runtime::parallel_for(0, out_channels_, 1, filter_cost,
-                          [&](std::int64_t f_begin, std::int64_t f_end) {
-      // Each helper thread fetches from its own thread-local arena; with a
-      // plan context every replica serves the same planned extent from its
-      // own adopted block.
-      std::int32_t* acc_buf = runtime::ScratchArena::current().i32p(
-          ctx, runtime::Scratch::kConvAccumulator,
-          static_cast<std::size_t>(out_hw));
-      if (use_vector) {
-        filter_block_vector(acc_buf, f_begin, f_end);
-      } else {
-        filter_block(acc_buf, f_begin, f_end);
-      }
-    });
-  } else {
-    runtime::parallel_for(0, out_channels_, 1, filter_cost,
-                          [&](std::int64_t f_begin, std::int64_t f_end) {
-      std::int64_t* acc_buf = runtime::ScratchArena::current().i64p(
-          ctx, runtime::Scratch::kConvAccumulator,
-          static_cast<std::size_t>(out_hw));
-      filter_block(acc_buf, f_begin, f_end);
-    });
-  }
+  run_panel(panel_, patches, out_hw, amax,
+            core::IntGemmStore{output.data(), out_hw, panel_.rows.data(),
+                               bias_.empty() ? nullptr : bias_.data(),
+                               std::ldexp(1.0F, input.scale_exp + config_.e_min)});
 
   if (counts != nullptr) {
-    // Analytic census: each entry accumulates once per output position whose
-    // tap is in-bounds, which is vy(ky) * vx(kx). Matches the term walk's
-    // per-accumulate counting exactly.
+    // Analytic census of the shift datapath: each plan entry accumulates
+    // once per output position whose tap is in-bounds, vy(ky) * vx(kx),
+    // summed per tap. Matches the term walk's per-accumulate counting
+    // exactly.
     std::int64_t total = 0;
-    for (std::int64_t e = 0; e < n_entries; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      total += valid_positions(plan_.ky[ei], out_h, in_h, stride_, padding_) *
-               valid_positions(plan_.kx[ei], out_w, in_w, stride_, padding_);
+    for (std::int64_t ky = 0; ky < kernel_; ++ky) {
+      const std::int64_t vy =
+          valid_positions(ky, out_h, in_h, stride_, padding_);
+      for (std::int64_t kx = 0; kx < kernel_; ++kx) {
+        total += tap_entries_[static_cast<std::size_t>(ky * kernel_ + kx)] *
+                 vy * valid_positions(kx, out_w, in_w, stride_, padding_);
+      }
     }
     counts->shifts += total;
     counts->adds += total;
@@ -657,22 +529,22 @@ ShiftLinear::ShiftLinear(ShiftLowering lowered, const ShiftLinearSpec& spec,
       out_features_(spec.out_features),
       in_features_(spec.in_features),
       term_count_(lowered.term_count),
-      bias_(std::move(bias)),
-      plan_(std::move(lowered.plan)) {
+      entries_(lowered.plan.entries()),
+      bias_(std::move(bias)) {
   FLIGHTNN_CHECK(out_features_ > 0 && in_features_ > 0,
                  "ShiftLinear: bad adopted geometry [", out_features_, ", ",
                  in_features_, "]");
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_features_,
                  "ShiftLinear: bias size ", bias_.numel(),
                  " does not match out features ", out_features_);
-  check_adopted_plan(plan_, out_features_, /*conv=*/false, "ShiftLinear");
-  // In-loader repack for the vector tier (see the ShiftConv2d overload);
-  // linear plans additionally get the lane-padded gather streams.
-  plan_.build_vector_streams();
+  const ShiftPlan& plan = lowered.plan;
+  check_adopted_plan(plan, out_features_, /*conv=*/false, "ShiftLinear");
+  panel_ = build_panel(plan, in_features_, "ShiftLinear");
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
-    const QuantizedActivations& input, OpCounts* counts) const {
+    const QuantizedActivations& input, OpCounts* counts,
+    const runtime::PlanContext* ctx) const {
   FLIGHTNN_CHECK(input.shape.numel() == in_features_,
                  "ShiftLinear::run: input numel ", input.shape.numel(),
                  " does not match in features ", in_features_);
@@ -680,80 +552,42 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
                      input.shape.numel(),
                  "ShiftLinear::run: ", input.values.size(),
                  " values do not fill shape ", input.shape.to_string());
-  dcheck_no_overflow(input, plan_.filter_gain, "ShiftLinear::run");
+  const std::int64_t amax = input.abs_max();
+  check_accumulator_range(amax, panel_.max_gain, "ShiftLinear::run");
 
-  const float scale = std::ldexp(1.0F, input.scale_exp + config_.e_min);
+  // The input vector is a one-column patch panel: im2col of an
+  // [in_features, 1, 1] image by a 1x1 kernel packs it in K-pairs.
+  const tensor::ConvGeometry geom{in_features_, 1, 1, 1, 1, 0};
+  std::int16_t* x = runtime::ScratchArena::current().i16p(
+      ctx, runtime::Scratch::kPatchPanel,
+      static_cast<std::size_t>(core::im2col_pairs_scratch(geom)));
+  core::im2col_pairs(input.values.data(), geom, x);
   tensor::Tensor output(tensor::Shape{out_features_});
-  const std::int32_t* in_data = input.values.data();
-
-  // Kernel-tier dispatch: the 8-wide gather kernel runs over the plan's
-  // lane-padded element/mult streams when the narrow bound admits int32
-  // lane partials (see shift_kernels.hpp for the overflow argument); the
-  // scalar int64 shift_dot remains the fallback and oracle. Bit-identical
-  // either way -- same addend multiset, no overflow, exact regrouping.
-  const ShiftKernels& kern = active_shift_kernels();
-  const bool use_vector =
-      kern.tier != KernelTier::kScalar && plan_.vector_streams_built &&
-      !plan_.pad_begin.empty() &&
-      narrow_bound_ok(plan_max_gain(plan_), input.abs_max());
-
-  // Parallel across output features; each feature's accumulator is private
-  // to one chunk and the entry walk regroups the term walk's exact integer
-  // addends, so the result is bit-identical to serial execution at any
-  // thread count. Linear layers are small (one accumulate per plan entry);
-  // the cost hint keeps them serial until the work amortizes pool dispatch.
-  const runtime::CostHint feature_cost{static_cast<double>(plan_.entries()) /
-                                       static_cast<double>(out_features_)};
-  runtime::parallel_for(0, out_features_, 1, feature_cost,
-                        [&](std::int64_t f_begin, std::int64_t f_end) {
-    for (std::int64_t f = f_begin; f < f_end; ++f) {
-      const std::int64_t acc =
-          use_vector
-              ? kern.shift_dot_i32(
-                    in_data, plan_.pad_element.data(), plan_.pad_mult.data(),
-                    plan_.pad_begin[static_cast<std::size_t>(f)],
-                    plan_.pad_begin[static_cast<std::size_t>(f) + 1])
-              : shift_dot(plan_, f, in_data);
-      const float b = bias_.empty() ? 0.0F : bias_[f];
-      output[f] = static_cast<float>(acc) * scale + b;
-    }
-  });
+  run_panel(panel_, x, 1, amax,
+            core::IntGemmStore{output.data(), 1, panel_.rows.data(),
+                               bias_.empty() ? nullptr : bias_.data(),
+                               std::ldexp(1.0F, input.scale_exp + config_.e_min)});
 
   if (counts != nullptr) {
     // One accumulate per plan entry; matches the term walk's counting.
-    counts->shifts += plan_.entries();
-    counts->adds += plan_.entries();
+    counts->shifts += entries_;
+    counts->adds += entries_;
   }
   return output;
 }
 
 const char* ShiftConv2d::kernel_tier(int act_bits) const {
-  const ShiftKernels& kern = active_shift_kernels();
-  // Static eligibility: |q| <= 2^(bits-1) - 1 for any properly quantized
-  // activation, so if the narrow bound holds at that ceiling it holds for
-  // every batch and run() will dispatch the vector tier. (An individual
-  // batch with smaller abs-max may vectorize even when this reports
-  // scalar; the report is the conservative steady-state answer.)
-  const std::int64_t q_max = (std::int64_t{1} << (act_bits - 1)) - 1;
-  const bool vector = kern.tier != KernelTier::kScalar && stride_ == 1 &&
-                      plan_.vector_streams_built &&
-                      narrow_bound_ok(plan_max_gain(plan_), q_max);
-  return kernel_tier_name(vector ? kern.tier : KernelTier::kScalar);
+  // Static form of run()'s gate at the quantizer's ceiling |q| <=
+  // 2^(bits-1) - 1: if the narrow bound holds there it holds for every
+  // batch. (A batch with a smaller abs-max may take the avx2 tier even
+  // when this reports scalar; the report is the steady-state answer.)
+  return core::kernel_tier_name(
+      panel_tier(panel_, (std::int64_t{1} << (act_bits - 1)) - 1));
 }
 
-const char* ShiftLinear::kernel_tier(int act_bits) const {
-  const ShiftKernels& kern = active_shift_kernels();
-  const std::int64_t q_max = (std::int64_t{1} << (act_bits - 1)) - 1;
-  const bool vector = kern.tier != KernelTier::kScalar &&
-                      plan_.vector_streams_built &&
-                      !plan_.pad_begin.empty() &&
-                      narrow_bound_ok(plan_max_gain(plan_), q_max);
-  return kernel_tier_name(vector ? kern.tier : KernelTier::kScalar);
-}
-
-bool plan_narrow_accumulator(const ShiftPlan& plan, int act_bits) {
-  const std::int64_t q_max = (std::int64_t{1} << (act_bits - 1)) - 1;
-  return narrow_bound_ok(plan_max_gain(plan), q_max);
+const char* ShiftLinear::kernel_tier(int /*act_bits*/) const {
+  // A one-column GEMM always runs on the scalar tile (core::int_gemm).
+  return core::kernel_tier_name(core::KernelTier::kScalar);
 }
 
 tensor::Tensor reference_conv(const tensor::Tensor& weights,

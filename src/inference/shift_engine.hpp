@@ -8,16 +8,17 @@
 // summation. The engine is bit-exact: its dequantized output equals the
 // real-arithmetic convolution of the quantized operands.
 //
-// Execution is plan-compiled (inference/shift_plan.hpp): every engine runs a
-// ShiftPlan, a sparsity-elided SoA entry stream, and run() walks only nonzero
-// weight elements, splitting each output plane into a padding-free interior
-// and guarded border rows. The plan is the layer's only form: engines built
+// Execution is an exact integer GEMM (DESIGN.md §14). Every engine holds a
+// ShiftPlan (inference/shift_plan.hpp), the sparsity-elided SoA record of
+// its shift terms, and packs it once into a ShiftPanel: each live filter's
+// terms summed into small integer weights, one dense GEMM row per unpruned
+// filter. run() lowers the image to an int16 patch panel and multiplies
+// (core::int_gemm). The plan is the layer's only stored form: engines built
 // from weights lower them through lower_shift_weights() and then hold the
 // same state as engines adopted from a compiled program or an artifact. The
 // term-walk oracle the differential tests compare run() against lives in
-// tests/; it adds the same multiset of integer addends, and int64 addition
-// is associative and commutative, so the two agree bit for bit (DESIGN.md
-// §9).
+// tests/; each output receives the same exact integer sum, so the two agree
+// bit for bit (DESIGN.md §9).
 //
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
@@ -60,7 +61,8 @@ QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits = 8);
 
 // Allocation-reusing variants: quantize into `out`, reusing its value buffer
 // (no heap traffic once the buffer has reached its high-water size). These
-// are what the compiled network's steps call in steady state.
+// are what the compiled network's steps call in steady state. Input holding
+// NaN or +/-Inf is rejected with CheckFailure.
 void quantize_image_into(const tensor::Tensor& image, int bits,
                          QuantizedActivations& out);
 void quantize_tensor_into(const tensor::Tensor& x, int bits,
@@ -96,6 +98,20 @@ struct ShiftLowering {
 ShiftLowering lower_shift_weights(const tensor::Tensor& quantized_weights,
                                   int k_max, const quant::Pow2Config& config);
 
+// A plan packed for core::int_gemm: the summed weights of every live
+// (unpruned) filter as one panel row, in int16 when every weight fits and in
+// int64 otherwise. Built once at engine construction from the plan's core
+// streams (zero-copy views for an artifact-adopted plan); the engine keeps
+// the panel, not the plan.
+struct ShiftPanel {
+  std::vector<std::int32_t> rows;    // GEMM row -> filter
+  std::vector<std::int32_t> pruned;  // filters with no terms (no GEMM row)
+  std::int64_t pairs = 0;  // core::int_gemm_pairs(weight elements per filter)
+  std::int64_t max_gain = 0;         // largest plan filter_gain
+  std::vector<std::int16_t> w16;     // packed panel, narrow weights
+  std::vector<std::int64_t> w64;     // packed panel, wide weights
+};
+
 // Conv geometry of a lowered layer.
 struct ShiftConvSpec {
   std::int64_t out_channels = 0;
@@ -130,12 +146,13 @@ class ShiftConv2d {
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
   // Run on one quantized image; returns the dequantized float output
-  // [out_channels, out_h, out_w]. Accumulates op counts into `counts` if
-  // non-null. Executes the compiled plan: zero elements and pruned filters
-  // cost nothing, interior pixels run without padding bounds checks, and
-  // scratch comes from the per-thread arena (zero steady-state allocation
-  // beyond the pooled output tensor). With a non-null `ctx` the scratch is
-  // served from the planned arena at offsets the memory planner assigned
+  // [out_channels, out_h, out_w]. Accumulates the analytic shift/add census
+  // into `counts` if non-null. |q| must fit int16 (any <= 16-bit
+  // quantization does); larger values, or a plan whose accumulation could
+  // leave int64, throw CheckFailure. Pruned filters cost no GEMM work, and
+  // the patch panel comes from the per-thread arena (zero steady-state
+  // allocation beyond the pooled output tensor). With a non-null `ctx` it is
+  // served from the planned arena at the offset the memory planner assigned
   // offline (DESIGN.md §15); null keeps the dynamic grow-once route.
   [[nodiscard]] tensor::Tensor run(
       const QuantizedActivations& input, OpCounts* counts = nullptr,
@@ -144,7 +161,7 @@ class ShiftConv2d {
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
-  [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
+  [[nodiscard]] const ShiftPanel& panel() const { return panel_; }
   // Name of the kernel tier run() dispatches to for activations quantized
   // at `act_bits` ("scalar" / "avx2"): the static form of run()'s dynamic
   // gate, using |q| <= 2^(bits-1)-1. Reflects the currently active dispatch
@@ -156,11 +173,12 @@ class ShiftConv2d {
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   std::int64_t term_count_ = 0;
   tensor::Tensor bias_;  // float; folded in after dequantization
-  // Compiled SoA execution plan (run()'s workload). run() parallelizes
-  // across filter blocks, so each filter's accumulator plane is written by
-  // exactly one thread and parallel results are bit-identical to serial
-  // execution.
-  ShiftPlan plan_;
+  // run()'s workload. The GEMM writes each output from exactly one task,
+  // so parallel results are bit-identical to serial execution.
+  ShiftPanel panel_;
+  // Plan entries per kernel tap (ky * kernel + kx): the op census is a
+  // K x K sum, not a walk over the entries.
+  std::vector<std::int64_t> tap_entries_;
 };
 
 // A fully-connected layer compiled to the single-shift datapath: weights
@@ -175,34 +193,27 @@ class ShiftLinear {
   ShiftLinear(ShiftLowering lowered, const ShiftLinearSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
-  // `input.shape` must be rank-1 [in_features]. Returns the dequantized
-  // float output [out_features]. Plan-compiled, like ShiftConv2d::run.
-  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
-                                   OpCounts* counts = nullptr) const;
+  // `input` must hold in_features values. Returns the dequantized float
+  // output [out_features]: a dense integer dot of each panel row with the
+  // packed input, same contract as ShiftConv2d::run.
+  [[nodiscard]] tensor::Tensor run(
+      const QuantizedActivations& input, OpCounts* counts = nullptr,
+      const runtime::PlanContext* ctx = nullptr) const;
 
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_features() const { return out_features_; }
   [[nodiscard]] std::int64_t in_features() const { return in_features_; }
-  [[nodiscard]] const ShiftPlan& plan() const { return plan_; }
-  // Kernel-tier name for `act_bits` activations (see ShiftConv2d).
+  // Kernel-tier name: always "scalar", the tier a one-column GEMM runs on.
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
   quant::Pow2Config config_;
   std::int64_t out_features_, in_features_;
   std::int64_t term_count_ = 0;
+  std::int64_t entries_ = 0;  // plan entries: one accumulate each (census)
   tensor::Tensor bias_;
-  ShiftPlan plan_;
+  ShiftPanel panel_;
 };
-
-// Whether ShiftConv2d::run takes the int32 narrow-accumulator path for ANY
-// properly quantized `act_bits` input executing `plan` -- the static form of
-// run()'s dynamic gate, using |q| <= 2^(act_bits-1) - 1 (same predicate as
-// kernel_tier). The memory planner sizes conv accumulator extents with this:
-// 4 bytes/element when the bound holds for every batch, 8 otherwise. A
-// planned-narrow layer can never see a wider request from a properly
-// quantized input, and a planned-wide layer's extent covers both widths.
-[[nodiscard]] bool plan_narrow_accumulator(const ShiftPlan& plan, int act_bits);
 
 // Reference float convolution of one image (for bit-exactness tests):
 // weights [O, I, K, K], image [C, H, W] -> [O, OH, OW]. Accumulates in

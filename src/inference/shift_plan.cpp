@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "inference/shift_kernels.hpp"
 #include "support/annotations.hpp"
 #include "support/check.hpp"
 
@@ -76,74 +75,10 @@ ShiftPlan compile_impl(const core::Decomposition& decomposition,
     plan.filter_begin.push_back(plan.entries());
   }
 
-  plan.build_vector_streams();
   return plan;
 }
 
 }  // namespace
-
-// Grow-once lowering of the derived SIMD streams; runs at compile/adopt time
-// (never on the inference hot path), hence the allocation boundary marker.
-FLIGHTNN_COLD_ALLOC void ShiftPlan::build_vector_streams() {
-  if (vector_streams_built) return;
-  const std::size_t n = element.size();
-  // Read the core streams through const pointers: on an adopted plan they
-  // are views, whose mutating operator[] must never be touched.
-  const std::int8_t* shift_in = shift.data();
-  const std::int8_t* sign_in = sign.data();
-  const std::int32_t* element_in = element.data();
-  const std::int64_t* begin_in = filter_begin.data();
-
-  // Per-entry int32 multiplier sign * 2^shift. Shifts above 30 would not fit
-  // (and mark a filter whose gain already fails the narrow bound), so they
-  // store the never-read 0 sentinel instead of shifting out of range.
-  mult.assign(n, 0);
-  for (std::size_t e = 0; e < n; ++e) {
-    const int s = shift_in[e];
-    if (s >= 0 && s <= 30) {
-      mult[e] = static_cast<std::int32_t>(sign_in[e]) * (std::int32_t{1} << s);
-    }
-  }
-  const std::int32_t* mult_in = mult.data();
-
-  // Linear plans additionally get the lane-padded gather streams. Conv plans
-  // skip them: the conv vector kernel iterates output positions per entry,
-  // so it needs no entry padding.
-  if (channel.empty() && filters > 0 &&
-      static_cast<std::int64_t>(filter_begin.size()) == filters + 1) {
-    std::int64_t padded_total = 0;
-    pad_begin.reserve(static_cast<std::size_t>(filters) + 1);
-    pad_begin.push_back(0);
-    const auto span_of = [&](std::int64_t f) -> std::int64_t {
-      // Clamp hand-built out-of-range/non-monotone prefixes to an empty
-      // span (the artifact loader validates these in depth; adopted test
-      // plans may not). A clamped filter simply keeps the scalar path.
-      const std::int64_t lo = begin_in[f], hi = begin_in[f + 1];
-      if (lo < 0 || hi > static_cast<std::int64_t>(n) || hi < lo) return 0;
-      return hi - lo;
-    };
-    for (std::int64_t f = 0; f < filters; ++f) {
-      const std::int64_t len = span_of(f);
-      padded_total += (len + kShiftVectorLane - 1) / kShiftVectorLane *
-                      kShiftVectorLane;
-      pad_begin.push_back(padded_total);
-    }
-    pad_element.assign(static_cast<std::size_t>(padded_total), 0);
-    pad_mult.assign(static_cast<std::size_t>(padded_total), 0);
-    const std::int64_t* pad_begin_in = pad_begin.data();
-    for (std::int64_t f = 0; f < filters; ++f) {
-      const std::int64_t src = begin_in[f];
-      const std::int64_t dst = pad_begin_in[f];
-      const std::int64_t len = span_of(f);
-      for (std::int64_t i = 0; i < len; ++i) {
-        pad_element[static_cast<std::size_t>(dst + i)] =
-            element_in[src + i];
-        pad_mult[static_cast<std::size_t>(dst + i)] = mult_in[src + i];
-      }
-    }
-  }
-  vector_streams_built = true;
-}
 
 FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_conv(
     const core::Decomposition& decomposition, const quant::Pow2Config& config,

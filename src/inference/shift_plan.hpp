@@ -11,15 +11,17 @@
 // (lower_shift_weights in inference/shift_engine.hpp), into a flat
 // structure-of-arrays: one contiguous stream of (element, shift, sign)
 // entries per filter, with every zero element and every pruned filter elided.
-// Steady-state kernel work is then exactly proportional to
-// Σ_i k_i · nnz_i -- the paper's energy-proportionality, realized in
-// software.
+// The plan is the layer's stored form (artifacts serialize it) and the
+// source of the analytic shift/add census the hardware models read, which is
+// exactly proportional to Σ_i k_i · nnz_i. The engines pack it once into a
+// dense integer weight panel (ShiftPanel) and run that as a GEMM; pruned
+// filters never become GEMM rows (DESIGN.md §14).
 //
 // Entry order is: filters ascending; within a filter, terms in decomposition
 // order; within a term, elements in index order. The order is stable and
-// documented, but the engine's correctness does not depend on it: each
-// output accumulator receives the same multiset of integer addends as the
-// reference term-walk, and int64 addition is associative and commutative, so
+// documented, but the engine's correctness does not depend on it: summing a
+// filter's entries per element yields the same integer weights in any
+// order, and exact integer accumulation is associative and commutative, so
 // any regrouping produces bit-identical results (DESIGN.md §9).
 
 #include <cstddef>
@@ -135,9 +137,8 @@ struct ShiftPlan {
   // Flat weight-element index of the entry: for conv, c*K*K + ky*K + kx into
   // the OIHW filter; for linear, the input-feature index.
   PlanArray<std::int32_t> element;
-  // Conv-only spatial split of `element` (ky/kx drive the border path and
-  // the analytic op counts; channel the input-plane offset). Empty for
-  // linear plans.
+  // Conv-only spatial split of `element` (ky/kx drive the analytic op
+  // counts). Empty for linear plans.
   PlanArray<std::int32_t> channel;
   PlanArray<std::int16_t> ky;
   PlanArray<std::int16_t> kx;
@@ -157,39 +158,7 @@ struct ShiftPlan {
   // overflow check per filter instead of per accumulate.
   PlanArray<std::int64_t> filter_gain;
 
-  // --- Derived uniform vector streams (Fig. 3 lowering; DESIGN.md §14) -----
-  // Built by build_vector_streams() once the core streams exist; always
-  // owned, never serialized. An artifact-adopted plan keeps its core streams
-  // as zero-copy views into the mapping and repacks only these derived
-  // streams at load time -- the `.flnart` format stays at v1.
-  //
-  // mult[e] = sign[e] * 2^shift[e] as int32: the exact per-entry multiplier
-  // the narrow (int32) kernel tier uses. Entries with shift > 30 store 0;
-  // they are unreachable, because such a filter's gain already exceeds the
-  // int32 bound and the engine takes the int64 scalar path before reading
-  // mult.
-  PlanArray<std::int32_t> mult;
-  // Linear-only gather streams, zero-padded per filter to a multiple of
-  // kShiftVectorLane (shift_kernels.hpp): filter f's padded entries are
-  // [pad_begin[f], pad_begin[f+1]), both ends lane-aligned. Pad entries are
-  // (element 0, mult 0) no-ops -- in-bounds for any layer (in_features >= 1)
-  // and contributing nothing -- so the 8-wide gather kernel runs to the
-  // padded end without tail masking or overreading any stream. Empty for
-  // conv plans (the conv kernels iterate output positions, not entries).
-  PlanArray<std::int32_t> pad_element;
-  PlanArray<std::int32_t> pad_mult;
-  PlanArray<std::int64_t> pad_begin;
-  // True once build_vector_streams() has run (it is idempotent).
-  bool vector_streams_built = false;
-
   std::int64_t filters = 0;
-
-  // Derive the vector streams above from the core streams. Called by the
-  // compilers and by the plan-adopting engine constructors (the in-loader
-  // repack for artifact plans); safe on any structurally-valid plan --
-  // out-of-range shifts map to mult 0 and negative filter spans pad to
-  // empty, so even a hostile hand-built plan cannot make this index wild.
-  void build_vector_streams();
 
   [[nodiscard]] std::int64_t entries() const {
     return static_cast<std::int64_t>(element.size());

@@ -4,8 +4,8 @@
 // batch elements on the shared thread pool. The network is immutable after
 // compile(), so concurrent run() calls share weights with no synchronization;
 // each image's forward pass is fully independent and the kernels inside each
-// pass may themselves parallelize across output-filter blocks (nested
-// parallel_for draws from the same pool).
+// pass may themselves parallelize across GEMM tiles (nested parallel_for
+// draws from the same pool).
 //
 // Public API (the single entry point, DESIGN.md §11): callers build an
 // InferenceRequest and get an InferenceResult back, either owning

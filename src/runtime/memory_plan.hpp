@@ -27,11 +27,8 @@ namespace flightnn::runtime {
 // lives here so both the arena (dynamic path) and the planner (planned path)
 // key buffers the same way.
 enum class Scratch : std::size_t {
-  kConvAccumulator = 0,   // int32/int64 accumulator plane(s) for ShiftConv2d
-  kConvOffsets,           // int64 im2row input-offset table for ShiftConv2d
-  kLinearAccumulator,     // int64 accumulator row for ShiftLinear
-  kQuantValues,           // int32 quantized activations (quantize_*_into)
-  kGemmPackA,             // f32 packed A micro-panels (core/gemm)
+  kPatchPanel = 0,  // int16 K-pair activation panel of a shift layer's GEMM
+  kGemmPackA,       // f32 packed A micro-panels (core/gemm)
   kSlotCount,
 };
 
@@ -57,7 +54,7 @@ inline constexpr std::size_t kUnassignedOffset =
 // request; the colorer rounds placements up to kArenaAlignment internally.
 struct BufferInterval {
   std::uint32_t op = 0;            // op whose kernel fetches this buffer
-  Scratch slot = Scratch::kConvAccumulator;
+  Scratch slot = Scratch::kPatchPanel;
   std::size_t bytes = 0;
   std::uint32_t def_op = 0;        // first op at which the buffer is live
   std::uint32_t last_use_op = 0;   // last op at which the buffer is live

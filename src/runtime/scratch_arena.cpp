@@ -18,12 +18,8 @@ ScratchArena& ScratchArena::current() {
   return arena;
 }
 
-std::vector<std::int64_t>& ScratchArena::i64(Scratch slot, std::size_t n) {
-  return resized(i64_[static_cast<std::size_t>(slot)], n);
-}
-
-std::vector<std::int32_t>& ScratchArena::i32(Scratch slot, std::size_t n) {
-  return resized(i32_[static_cast<std::size_t>(slot)], n);
+std::vector<std::int16_t>& ScratchArena::i16(Scratch slot, std::size_t n) {
+  return resized(i16_[static_cast<std::size_t>(slot)], n);
 }
 
 std::vector<float>& ScratchArena::f32(Scratch slot, std::size_t n) {
@@ -60,20 +56,12 @@ void* ScratchArena::planned_fetch(const PlanContext* ctx, Scratch slot,
   return base_ + extent.offset;
 }
 
-std::int64_t* ScratchArena::i64p(const PlanContext* ctx, Scratch slot,
+std::int16_t* ScratchArena::i16p(const PlanContext* ctx, Scratch slot,
                                  std::size_t n) {
-  if (void* p = planned_fetch(ctx, slot, n * sizeof(std::int64_t))) {
-    return static_cast<std::int64_t*>(p);
+  if (void* p = planned_fetch(ctx, slot, n * sizeof(std::int16_t))) {
+    return static_cast<std::int16_t*>(p);
   }
-  return i64(slot, n).data();
-}
-
-std::int32_t* ScratchArena::i32p(const PlanContext* ctx, Scratch slot,
-                                 std::size_t n) {
-  if (void* p = planned_fetch(ctx, slot, n * sizeof(std::int32_t))) {
-    return static_cast<std::int32_t*>(p);
-  }
-  return i32(slot, n).data();
+  return i16(slot, n).data();
 }
 
 float* ScratchArena::f32p(const PlanContext* ctx, Scratch slot,
@@ -87,8 +75,7 @@ float* ScratchArena::f32p(const PlanContext* ctx, Scratch slot,
 std::size_t ScratchArena::footprint_bytes() const {
   std::size_t bytes = 0;
   for (std::size_t s = 0; s < kSlots; ++s) {
-    bytes += i64_[s].capacity() * sizeof(std::int64_t);
-    bytes += i32_[s].capacity() * sizeof(std::int32_t);
+    bytes += i16_[s].capacity() * sizeof(std::int16_t);
     bytes += f32_[s].capacity() * sizeof(float);
   }
   if (block_) bytes += block_bytes_ + kArenaAlignment;
@@ -97,8 +84,7 @@ std::size_t ScratchArena::footprint_bytes() const {
 
 void ScratchArena::trim() {
   for (std::size_t s = 0; s < kSlots; ++s) {
-    std::vector<std::int64_t>().swap(i64_[s]);
-    std::vector<std::int32_t>().swap(i32_[s]);
+    std::vector<std::int16_t>().swap(i16_[s]);
     std::vector<float>().swap(f32_[s]);
   }
   block_.reset();

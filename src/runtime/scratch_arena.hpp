@@ -26,7 +26,7 @@
 //   - Slots are owned by call sites, not by layers: two kernels may share a
 //     slot only if they can never be live simultaneously on one thread.
 //     Nested use of the same slot (conv calling back into something that
-//     uses kConvAccumulator) is a bug; slots used by nestable helpers get
+//     uses kPatchPanel) is a bug; slots used by nestable helpers get
 //     their own ids. The planner encodes the same rule as temporal
 //     disjointness of intervals.
 //   - Buffers keep their high-water capacity until the thread exits. Call
@@ -53,9 +53,7 @@ class ScratchArena {
   // high-water mark does not allocate -- the grow-once boundary where
   // FLIGHTNN_HOT traversal stops (the "dies out in steady state" half is
   // asserted dynamically by tests/arena_allocation_test).
-  FLIGHTNN_COLD_ALLOC std::vector<std::int64_t>& i64(Scratch slot,
-                                                     std::size_t n);
-  FLIGHTNN_COLD_ALLOC std::vector<std::int32_t>& i32(Scratch slot,
+  FLIGHTNN_COLD_ALLOC std::vector<std::int16_t>& i16(Scratch slot,
                                                      std::size_t n);
   FLIGHTNN_COLD_ALLOC std::vector<float>& f32(Scratch slot, std::size_t n);
 
@@ -65,9 +63,7 @@ class ScratchArena {
   // undersized extent all fall back to the dynamic slot above (counting a
   // plan miss when a layout was present). Adoption of a not-yet-seen layout
   // happens lazily on first fetch, which is the only allocating case.
-  FLIGHTNN_COLD_ALLOC std::int64_t* i64p(const PlanContext* ctx, Scratch slot,
-                                         std::size_t n);
-  FLIGHTNN_COLD_ALLOC std::int32_t* i32p(const PlanContext* ctx, Scratch slot,
+  FLIGHTNN_COLD_ALLOC std::int16_t* i16p(const PlanContext* ctx, Scratch slot,
                                          std::size_t n);
   FLIGHTNN_COLD_ALLOC float* f32p(const PlanContext* ctx, Scratch slot,
                                   std::size_t n);
@@ -107,8 +103,7 @@ class ScratchArena {
                                           std::size_t bytes);
 
   static constexpr std::size_t kSlots = kScratchSlotCount;
-  std::vector<std::int64_t> i64_[kSlots];
-  std::vector<std::int32_t> i32_[kSlots];
+  std::vector<std::int16_t> i16_[kSlots];
   std::vector<float> f32_[kSlots];
 
   // Planned block. `layout_id_` (not a pointer) identifies the adopted

@@ -5,7 +5,7 @@
 // tasks plus atomic chunk claiming inside each parallel_for, which is simple
 // enough to reason about under ThreadSanitizer and fully sufficient for the
 // regular, statically-partitionable loops in this codebase (batch elements,
-// output-filter blocks, image planes).
+// GEMM tiles, image planes).
 //
 // parallel_for is allocation-free: the per-invocation bookkeeping lives in a
 // `ParallelOp` on the caller's stack, linked into an intrusive list the

@@ -208,11 +208,10 @@ void check_geom(std::int64_t value, std::int64_t lo, std::uint32_t op_index,
 // unchecked, so everything they trust is proven here: entry bounds, sign
 // and shift domains, the filter prefix, and the overflow gains (recomputed
 // with the same guard saturation the compiler uses). Only the core streams
-// live in the artifact (format v1, unchanged): the derived vector streams
-// (mult, 8-lane-padded linear streams; DESIGN.md §14) are rebuilt from
-// these validated views by the plan-adopting engine constructors -- an
-// in-loader repack, so mapped plans stay zero-copy and still reach the
-// vectorized kernel tier.
+// live in the artifact (format v1, unchanged): the engines' integer GEMM
+// panels (DESIGN.md §14) are packed from these validated views by the
+// plan-adopting engine constructors -- an in-loader repack, so mapped
+// plans stay zero-copy and still reach the avx2 GEMM tier.
 ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
                         std::uint32_t section_count, const OpRecord& record,
                         std::uint32_t op_index, bool conv) {

@@ -27,7 +27,7 @@
 namespace flightnn::support {
 
 // CPU capability probes backing both the explicit kernel dispatch tables
-// (inference/shift_kernels, core/gemm) and the bench metadata every
+// (core/gemm) and the bench metadata every
 // BENCH_*.json records. Same mechanism the ifunc resolvers behind
 // FLIGHTNN_SIMD_CLONES use, exposed as callable predicates so dispatch
 // decisions are observable and overridable (FLIGHTNN_FORCE_SCALAR).

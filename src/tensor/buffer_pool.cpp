@@ -72,6 +72,7 @@ void prewarm(std::size_t n, std::size_t count) {
   if (n == 0 || count == 0) return;
   ThreadPool& p = tls();
   auto& list = p.free_lists[n];
+  list.reserve(count + 1);
   const std::size_t bytes = n * sizeof(float);
   while (list.size() < count &&
          p.counters.cached_bytes + bytes <= kMaxPooledBytes) {

@@ -50,7 +50,10 @@ FLIGHTNN_COLD_ALLOC void release(std::vector<float>&& buffer) noexcept;
 // acquire of each hits the free list instead of the allocator. The memory
 // planner's warm path uses this with the program's exact activation working
 // set (DESIGN.md §15). Respects kMaxPooledBytes; requests past the cap are
-// dropped.
+// dropped. The free list also reserves room for one more buffer than
+// `count`: a batch runner releases its previous output into the worker's
+// pool before the forward pass acquires the next one, and that release must
+// not be the worker's first allocation.
 FLIGHTNN_COLD_ALLOC void prewarm(std::size_t n, std::size_t count);
 
 // --- Introspection / test hooks ----------------------------------------------

@@ -122,11 +122,11 @@ runtime::InferenceRequest make_request(std::int64_t n, std::int64_t side,
 
 TEST(ArenaColoringTest, OverlappingIntervalsGetDisjointBytes) {
   std::vector<runtime::BufferInterval> intervals;
-  intervals.push_back({0, runtime::Scratch::kConvOffsets, 100, 0, 0,
+  intervals.push_back({0, runtime::Scratch::kPatchPanel, 100, 0, 0,
                        runtime::kUnassignedOffset});
-  intervals.push_back({0, runtime::Scratch::kConvAccumulator, 200, 0, 0,
+  intervals.push_back({0, runtime::Scratch::kGemmPackA, 200, 0, 0,
                        runtime::kUnassignedOffset});
-  intervals.push_back({1, runtime::Scratch::kConvOffsets, 300, 1, 1,
+  intervals.push_back({1, runtime::Scratch::kPatchPanel, 300, 1, 1,
                        runtime::kUnassignedOffset});
   const std::size_t capacity = runtime::assign_arena_offsets(intervals);
   expect_sound_layout(intervals, capacity, "hand-built");
@@ -174,19 +174,55 @@ TEST(MemoryPlanTest, Table1NetworkLayoutsAreSound) {
     expect_sound_layout(plan->layout().intervals(),
                         plan->layout().capacity_bytes(),
                         "network " + std::to_string(id));
-    // Every conv op must have planned scratch; the census must be coherent.
+    // Every shift op has exactly one planned buffer, its patch panel; the
+    // census must be coherent.
     EXPECT_EQ(plan->per_op().size(), program.ops.size());
     for (const auto& mem : plan->per_op()) {
-      EXPECT_EQ(mem.scratch_bytes, mem.offsets_bytes + mem.accumulator_bytes);
-      if (mem.kind == inference::ProgramOpKind::kShiftConv) {
+      const auto extent =
+          plan->layout().find(mem.op, runtime::Scratch::kPatchPanel);
+      const bool shift = mem.kind == inference::ProgramOpKind::kShiftConv ||
+                         mem.kind == inference::ProgramOpKind::kShiftLinear;
+      EXPECT_EQ(mem.scratch_bytes, shift ? extent.bytes : 0U);
+      if (shift) {
         EXPECT_GT(mem.scratch_bytes, 0U);
-        EXPECT_NE(mem.scratch_offset, runtime::kUnassignedOffset);
+        EXPECT_EQ(mem.scratch_offset, extent.offset);
       }
     }
     EXPECT_GT(plan->arena_capacity_bytes(), 0U);
     EXPECT_GT(plan->activation_peak_bytes(), 0U);
     EXPECT_GT(plan->quant_peak_values(), 0U);
   }
+}
+
+// The patch-panel slot holds int16 K-pairs padded to whole GEMM column
+// tiles plus a zero-bordered int16 copy of the input, and its extent is
+// exactly what ShiftConv2d/ShiftLinear::run fetch: the first VGG conv
+// (3 -> c, 3x3, pad 1) at 16x16 needs pairs(27) x 256 columns and a
+// 3 x 18 x 18 copy, the linear head one column of pairs(in_features) and
+// an in_features copy.
+TEST(MemoryPlanTest, PatchPanelExtentsAreExact) {
+  auto model = make_model(1, 0.125F, 13);
+  const auto program = inference::compile_program(*model, Shape{1, 3, 16, 16});
+  const auto plan = inference::MemoryPlan::try_build(program);
+  ASSERT_NE(plan, nullptr);
+  bool saw_conv = false;
+  bool saw_linear = false;
+  for (std::size_t i = 0; i < program.ops.size(); ++i) {
+    const auto& op = program.ops[i];
+    const std::size_t bytes = plan->per_op()[i].scratch_bytes;
+    if (op.kind == inference::ProgramOpKind::kShiftConv && !saw_conv) {
+      saw_conv = true;
+      EXPECT_EQ(bytes, std::size_t{14 * 256 * 2 + 3 * 18 * 18} *
+                           sizeof(std::int16_t));
+    }
+    if (op.kind == inference::ProgramOpKind::kShiftLinear) {
+      saw_linear = true;
+      EXPECT_EQ(bytes, static_cast<std::size_t>((op.in_channels + 1) / 2 * 2 +
+                                                op.in_channels) *
+                           sizeof(std::int16_t));
+    }
+  }
+  EXPECT_TRUE(saw_conv && saw_linear);
 }
 
 TEST(MemoryPlanTest, PlannedVsDynamicLogitsBitIdentical) {

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "quant/lightnn.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "term_walk_oracle.hpp"
 
@@ -46,6 +48,51 @@ TEST(QuantizeImageTest, ValuesFitBitWidth) {
     EXPECT_LE(v, 127);
     EXPECT_GE(v, -127);
   }
+}
+
+// Non-finite input has no power-of-two scale: abs_max is NaN or Inf exactly
+// when some element is, and both quantizers reject it before any float-to-int
+// conversion -- so neither engine ever sees it.
+TEST(QuantizeImageTest, RejectsNonFiniteInputBeforeTheEngines) {
+  const quant::Pow2Config config;
+  support::Rng rng(5);
+  const ShiftConv2d conv(
+      quant::quantize_lightnn(Tensor::randn(Shape{2, 2, 3, 3}, rng), 2, config),
+      2, config, 1, 1);
+  const ShiftLinear linear(
+      quant::quantize_lightnn(Tensor::randn(Shape{3, 8}, rng), 2, config), 2,
+      config);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    Tensor img = Tensor::randn(Shape{2, 2, 2}, rng);
+    img[5] = bad;
+    QuantizedActivations q;
+    EXPECT_THROW(quantize_image_into(img, 8, q), support::CheckFailure) << bad;
+    EXPECT_THROW(quantize_tensor_into(img, 8, q), support::CheckFailure) << bad;
+    EXPECT_THROW((void)conv.run(quantize_image(img, 8)), support::CheckFailure)
+        << bad;
+    EXPECT_THROW((void)linear.run(quantize_tensor(img, 8)),
+                 support::CheckFailure)
+        << bad;
+  }
+}
+
+// The engines' own contract: activations wider than int16 cannot be packed
+// into the GEMM's patch panel and are rejected, not truncated.
+TEST(ShiftConvTest, RejectsActivationsBeyondInt16) {
+  const quant::Pow2Config config;
+  support::Rng rng(6);
+  const ShiftConv2d engine(
+      quant::quantize_lightnn(Tensor::randn(Shape{2, 1, 3, 3}, rng), 2, config),
+      2, config, 1, 1);
+  QuantizedActivations wide;
+  wide.shape = Shape{1, 4, 4};
+  wide.values.assign(16, 1);
+  wide.values[3] = 40000;
+  EXPECT_THROW((void)engine.run(wide), support::CheckFailure);
+  wide.values[3] = -32767;
+  EXPECT_NO_THROW((void)engine.run(wide));
 }
 
 // The central claim: the shift-add integer engine is bit-exact against real

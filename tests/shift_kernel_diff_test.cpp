@@ -1,16 +1,15 @@
-// Differential property suite for the vectorized shift-stream kernels: the
-// AVX2 tier must be byte-identical to the scalar tier and to the term-walk
-// oracle (term_walk_oracle.hpp) under every geometry the plan compiler can produce --
-// odd interior widths (16-wide / 8-wide / masked-tail paths), strides,
-// paddings, k_max, pruning, thread counts, and artifact-adopted plans whose
-// streams are zero-copy views into an mmap. The direct kernel tests run the
-// dispatch-table function pointers on exactly-sized buffers, so the ASan CI
-// preset turns any padded-stream or masked-lane overread into a hard
-// failure (the vector kernels must touch no byte the scalar tier would
-// not). Tier comparisons skip on hosts without AVX2, where tier 1 resolves
-// to the scalar table and the comparison would be vacuous.
-
-#include "inference/shift_kernels.hpp"
+// Differential property suite for the integer-GEMM lowering of the shift
+// layers (DESIGN.md §14): both kernel tiers must be byte-identical to the
+// term-walk oracle (term_walk_oracle.hpp) under every geometry the plan
+// compiler can produce -- strides, 1x1 convs without padding, output planes
+// that are not a multiple of the 16-column tile, odd patch depths, k_max,
+// pruning (including all-pruned layers and pruned filters with a bias),
+// forced-wide layers that must take the int64 scalar route, thread counts,
+// and artifact-adopted plans whose streams are zero-copy views into an mmap.
+// The direct GEMM cases run core::int_gemm on exactly-sized packed buffers,
+// so the ASan CI preset turns any read past a packed operand into a hard
+// failure. AVX2 comparisons skip on hosts without AVX2, where the avx2 tier
+// resolves to the scalar one and the comparison would be vacuous.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/gemm.hpp"
 #include "core/quantize_model.hpp"
 #include "inference/quantized_network.hpp"
 #include "inference/shift_engine.hpp"
@@ -35,6 +35,8 @@
 namespace flightnn::inference {
 namespace {
 
+using core::KernelTier;
+using core::set_kernel_tier_override;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -47,8 +49,11 @@ struct TierGuard {
   ~TierGuard() { set_kernel_tier_override(-1); }
 };
 
-bool host_has_vector_tier() {
-  return shift_kernels_for(KernelTier::kAvx2).tier == KernelTier::kAvx2;
+bool host_has_vector_tier() { return support::cpu_has_avx2(); }
+
+// Tiers worth comparing on this host.
+std::vector<int> tiers() {
+  return host_has_vector_tier() ? std::vector<int>{0, 1} : std::vector<int>{0};
 }
 
 bool bytes_equal(const Tensor& a, const Tensor& b) {
@@ -66,43 +71,54 @@ void prune_filters(Tensor& wq, std::int64_t filters) {
   }
 }
 
+// Runs `engine` on every tier and expects each output memcmp-equal to the
+// term-walk oracle of the same weights.
+void expect_conv_matches_oracle(const Tensor& wq, int k_max,
+                                const quant::Pow2Config& config,
+                                std::int64_t stride, std::int64_t padding,
+                                const Tensor& bias,
+                                const QuantizedActivations& q,
+                                const ::testing::Message& what) {
+  const TierGuard guard;
+  const ShiftConv2d engine(wq, k_max, config, stride, padding, bias);
+  const auto& s = wq.shape();
+  const Tensor want = oracle::term_walk_conv(
+      core::decompose_to_lightnn1(wq, k_max, config),
+      {s[0], s[1], s[2], stride, padding}, config, q, bias);
+  for (const int tier : tiers()) {
+    set_kernel_tier_override(tier);
+    EXPECT_TRUE(bytes_equal(engine.run(q), want)) << what << " tier=" << tier;
+  }
+}
+
 // --- Engine-level sweeps ---------------------------------------------------
 
-TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  TierGuard guard;
+TEST(ShiftKernelDiffTest, ConvSweepTiersMatchOracle) {
   const quant::Pow2Config config;
   support::Rng rng(101);
-  // Odd input sides so interior widths hit the 16-wide, 8-wide and masked
-  // tail paths; kernel 5 with padding 2 keeps borders wide.
-  const Shape img_shape{3, 19, 17};
-  Tensor img = Tensor::randn(img_shape, rng);
-  const auto qimg = quantize_image(img, 8);
+  // 19x17 input: no stride/kernel/padding combination below yields an
+  // output plane that is a multiple of the 16-column tile (1x1 kernels with
+  // padding >= 1 add all-zero border taps). Three input channels make the
+  // patch depth 3*K*K odd for every kernel, so the final K-pair is padded.
+  const auto qimg = quantize_image(Tensor::randn(Shape{3, 19, 17}, rng), 8);
   for (const std::int64_t kernel : {1, 3, 5}) {
     for (const std::int64_t stride : {1, 2}) {
       for (const std::int64_t padding : {0, 1, 2}) {
-        if (padding >= kernel) continue;  // degenerate: all-padding taps
         for (const int k_max : {1, 2, 3}) {
           for (const bool prune : {false, true}) {
             Tensor w = Tensor::randn(Shape{6, 3, kernel, kernel}, rng, 0.0F,
                                      0.3F);
             Tensor wq = quant::quantize_lightnn(w, k_max, config);
             if (prune) prune_filters(wq, 3);
-            const ShiftConv2d engine(wq, k_max, config, stride, padding);
-            set_kernel_tier_override(0);
-            const Tensor scalar_out = engine.run(qimg);
-            set_kernel_tier_override(1);
-            const Tensor vector_out = engine.run(qimg);
-            set_kernel_tier_override(-1);
-            const Tensor reference_out = oracle::term_walk_conv(
-                core::decompose_to_lightnn1(wq, k_max, config),
-                {6, 3, kernel, stride, padding}, config, qimg);
-            EXPECT_TRUE(bytes_equal(scalar_out, vector_out))
-                << "k=" << kernel << " s=" << stride << " p=" << padding
-                << " k_max=" << k_max << " prune=" << prune;
-            EXPECT_TRUE(bytes_equal(vector_out, reference_out))
-                << "k=" << kernel << " s=" << stride << " p=" << padding
-                << " k_max=" << k_max << " prune=" << prune;
+            // Pruned filters carry a nonzero bias: their planes must be the
+            // exact 0 * scale + bias the oracle dequantizes.
+            const Tensor bias =
+                prune ? Tensor::randn(Shape{6}, rng) : Tensor();
+            expect_conv_matches_oracle(
+                wq, k_max, config, stride, padding, bias, qimg,
+                ::testing::Message() << "k=" << kernel << " s=" << stride
+                                     << " p=" << padding << " k_max=" << k_max
+                                     << " prune=" << prune);
           }
         }
       }
@@ -110,47 +126,97 @@ TEST(ShiftKernelDiffTest, ConvSweepTiersAndReferenceBitIdentical) {
   }
 }
 
-TEST(ShiftKernelDiffTest, LinearSweepTiersAndReferenceBitIdentical) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  TierGuard guard;
+TEST(ShiftKernelDiffTest, PointwiseConvWithoutPadding) {
+  const quant::Pow2Config config;
+  support::Rng rng(108);
+  // 1x1, padding 0: patch rows are the channels themselves; 7 channels make
+  // the depth odd and a 5x7 plane leaves a 3-column tail tile.
+  for (const std::int64_t stride : {1, 2}) {
+    const auto q = quantize_image(Tensor::randn(Shape{7, 5, 7}, rng), 8);
+    Tensor w = Tensor::randn(Shape{9, 7, 1, 1}, rng, 0.0F, 0.3F);
+    expect_conv_matches_oracle(quant::quantize_lightnn(w, 2, config), 2,
+                               config, stride, 0, Tensor::randn(Shape{9}, rng),
+                               q, ::testing::Message() << "1x1 s=" << stride);
+  }
+}
+
+TEST(ShiftKernelDiffTest, AllPrunedLayerStoresBiasOnly) {
+  const quant::Pow2Config config;
+  support::Rng rng(109);
+  Tensor wq(Shape{5, 2, 3, 3});  // every filter pruned
+  const Tensor bias = Tensor::randn(Shape{5}, rng);
+  const auto q = quantize_image(Tensor::randn(Shape{2, 6, 6}, rng), 8);
+  const ShiftConv2d engine(wq, 2, config, 1, 1, bias);
+  EXPECT_TRUE(engine.panel().rows.empty());
+  EXPECT_EQ(engine.panel().pruned.size(), 5U);
+  expect_conv_matches_oracle(wq, 2, config, 1, 1, bias, q,
+                             ::testing::Message() << "all pruned");
+}
+
+// Layers outside the narrow int16/int32 envelope must take the int64 scalar
+// route on every tier and still match the oracle.
+TEST(ShiftKernelDiffTest, ForcedWideLayersTakeTheScalarRoute) {
+  support::Rng rng(110);
+  // (a) int16 weights, huge gain: a 12-level window puts unit weights at
+  // 2^12, so 16-bit activations break the int32 bound.
+  quant::Pow2Config wide_gain;
+  wide_gain.e_min = -12;
+  // (b) weights beyond int16: a 17-level window reaches 2^16.
+  quant::Pow2Config wide_weights;
+  wide_weights.e_min = -16;
+  for (const auto& config : {wide_gain, wide_weights}) {
+    Tensor w = Tensor::randn(Shape{4, 8, 3, 3}, rng, 0.0F, 1.0F);
+    const Tensor wq = quant::quantize_lightnn(w, 2, config);
+    const ShiftConv2d engine(wq, 2, config, 1, 1);
+    const bool int16_weights = config.e_min == wide_gain.e_min;
+    EXPECT_EQ(engine.panel().w16.empty(), !int16_weights);
+    {
+      const TierGuard guard;
+      set_kernel_tier_override(1);
+      EXPECT_STREQ(engine.kernel_tier(16), "scalar");
+    }
+    const auto q = quantize_image(Tensor::randn(Shape{8, 9, 9}, rng), 16);
+    expect_conv_matches_oracle(wq, 2, config, 1, 1, {}, q,
+                               ::testing::Message() << "e_min=" << config.e_min);
+  }
+}
+
+TEST(ShiftKernelDiffTest, LinearSweepTiersMatchOracle) {
+  const TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(102);
-  // Feature counts straddling the 8-lane padding boundary, including rows
-  // whose entry counts land on 1/7/8/9 after pruning.
-  for (const std::int64_t in_features : {1, 7, 8, 9, 31, 64}) {
+  // Feature counts around the K-pair step; row counts around the 4-row
+  // tile. A one-column GEMM runs on the scalar tile whatever tier is set.
+  for (const std::int64_t in_features : {1, 2, 3, 7, 8, 9, 31, 64}) {
     for (const std::int64_t out_features : {1, 5, 10}) {
       for (const int k_max : {1, 2}) {
         for (const bool prune : {false, true}) {
           Tensor w = Tensor::randn(Shape{out_features, in_features}, rng,
                                    0.0F, 0.3F);
           Tensor wq = quant::quantize_lightnn(w, k_max, config);
-          if (prune) prune_filters(wq, out_features / 2);
-          Tensor x = Tensor::randn(Shape{in_features}, rng);
-          const auto qx = quantize_tensor(x, 8);
-          const ShiftLinear engine(wq, k_max, config);
-          set_kernel_tier_override(0);
-          const Tensor scalar_out = engine.run(qx);
-          set_kernel_tier_override(1);
-          const Tensor vector_out = engine.run(qx);
-          set_kernel_tier_override(-1);
-          const Tensor reference_out = oracle::term_walk_linear(
-              core::decompose_to_lightnn1(wq, k_max, config), config, qx);
-          EXPECT_TRUE(bytes_equal(scalar_out, vector_out))
-              << "in=" << in_features << " out=" << out_features
-              << " k_max=" << k_max << " prune=" << prune;
-          EXPECT_TRUE(bytes_equal(vector_out, reference_out))
-              << "in=" << in_features << " out=" << out_features
-              << " k_max=" << k_max << " prune=" << prune;
+          if (prune) prune_filters(wq, out_features / 2 + 1);
+          const Tensor bias = Tensor::randn(Shape{out_features}, rng);
+          const auto qx = quantize_tensor(Tensor::randn(Shape{in_features}, rng), 8);
+          const ShiftLinear engine(wq, k_max, config, bias);
+          const Tensor want = oracle::term_walk_linear(
+              core::decompose_to_lightnn1(wq, k_max, config), config, qx, bias);
+          for (const int tier : tiers()) {
+            set_kernel_tier_override(tier);
+            EXPECT_TRUE(bytes_equal(engine.run(qx), want))
+                << "in=" << in_features << " out=" << out_features
+                << " k_max=" << k_max << " prune=" << prune
+                << " tier=" << tier;
+          }
         }
       }
     }
   }
 }
 
-// Pruning removes entries; it must not change which tier a layer dispatches
-// to. Strided convs have no vector interior path and stay scalar.
+// Pruning and stride do not change which tier a layer dispatches to: every
+// conv is one GEMM.
 TEST(ShiftKernelDiffTest, KernelTierReporting) {
-  TierGuard guard;
+  const TierGuard guard;
   const quant::Pow2Config config;
   support::Rng rng(103);
   Tensor w = Tensor::randn(Shape{8, 4, 3, 3}, rng, 0.0F, 0.3F);
@@ -161,106 +227,158 @@ TEST(ShiftKernelDiffTest, KernelTierReporting) {
   const ShiftConv2d pruned(wq_pruned, 2, config, 1, 1);
   const ShiftConv2d strided(wq, 2, config, 2, 1);
   EXPECT_STREQ(dense.kernel_tier(8), pruned.kernel_tier(8));
-  EXPECT_STREQ(strided.kernel_tier(8), "scalar");
+  EXPECT_STREQ(dense.kernel_tier(8), strided.kernel_tier(8));
+  EXPECT_EQ(pruned.panel().rows.size(), 4U);
   set_kernel_tier_override(0);
   EXPECT_STREQ(dense.kernel_tier(8), "scalar");
   set_kernel_tier_override(1);
-  if (host_has_vector_tier()) {
-    EXPECT_STREQ(dense.kernel_tier(8), "avx2");
-  }
+  EXPECT_STREQ(dense.kernel_tier(8),
+               host_has_vector_tier() ? "avx2" : "scalar");
+  Tensor lw = Tensor::randn(Shape{10, 64}, rng, 0.0F, 0.3F);
+  const ShiftLinear linear(quant::quantize_lightnn(lw, 2, config), 2, config);
+  EXPECT_STREQ(linear.kernel_tier(8), "scalar");
 }
 
-// --- Direct kernel-table differentials ------------------------------------
-// Exactly-sized buffers: under ASan any read or write outside what the
-// scalar tier touches (masked tail lanes, padded stream ends) aborts.
+// --- Direct GEMM-kernel differentials --------------------------------------
+// Packed operands in exactly-sized buffers against a naive int64 GEMM with
+// the same fused store; under ASan any read past a panel aborts.
 
-TEST(ShiftKernelDiffTest, ConvInteriorKernelDirect) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  const ConvInteriorFn scalar_fn =
-      shift_kernels_for(KernelTier::kScalar).conv_interior_i32;
-  const ConvInteriorFn vector_fn =
-      shift_kernels_for(KernelTier::kAvx2).conv_interior_i32;
-  support::Rng rng(104);
-  const std::int64_t channels = 2;
-  const std::int64_t kernel = 3;
-  const std::int64_t padding = 1;
-  // Input widths chosen so interior widths n = in_w - 2 sweep the kernel's
-  // block decomposition: masked-only (n<8), 8+masked, 16+masked, 16+8+masked
-  // and exact multiples; odd heights exercise the trailing single row.
-  for (const std::int64_t in_w : {5, 9, 11, 16, 18, 23, 26, 34}) {
-    for (const std::int64_t in_h : {4, 5, 9}) {
-      const std::int64_t out_w = in_w;
-      const std::int64_t out_h = in_h;
-      std::vector<std::int32_t> in(
-          static_cast<std::size_t>(channels * in_h * in_w));
-      for (auto& v : in) {
-        v = static_cast<std::int32_t>(rng.uniform_index(255)) - 127;
+struct PackedCase {
+  std::int64_t rows, depth, cols;
+  std::vector<std::int64_t> w;   // [rows x depth], row-major
+  std::vector<std::int16_t> x;   // [depth x cols], row-major
+};
+
+PackedCase random_case(std::int64_t rows, std::int64_t depth,
+                       std::int64_t cols, std::int64_t w_range,
+                       support::Rng& rng) {
+  PackedCase c{rows, depth, cols, {}, {}};
+  for (std::int64_t i = 0; i < rows * depth; ++i) {
+    c.w.push_back(static_cast<std::int64_t>(
+                      rng.uniform_index(static_cast<std::size_t>(2 * w_range + 1))) -
+                  w_range);
+  }
+  for (std::int64_t i = 0; i < depth * cols; ++i) {
+    c.x.push_back(static_cast<std::int16_t>(
+        static_cast<int>(rng.uniform_index(255)) - 127));
+  }
+  return c;
+}
+
+template <typename T>
+std::vector<T> pack_weights(const PackedCase& c) {
+  const std::int64_t pairs = core::int_gemm_pairs(c.depth);
+  std::vector<T> panel(static_cast<std::size_t>(
+                           core::int_gemm_padded_rows(c.rows) * pairs * 2),
+                       T{0});
+  for (std::int64_t r = 0; r < c.rows; ++r) {
+    for (std::int64_t k = 0; k < c.depth; ++k) {
+      panel[static_cast<std::size_t>(core::int_gemm_weight_index(r, k, pairs))] =
+          static_cast<T>(c.w[static_cast<std::size_t>(r * c.depth + k)]);
+    }
+  }
+  return panel;
+}
+
+std::vector<std::int16_t> pack_activations(const PackedCase& c) {
+  const std::int64_t ld = core::int_gemm_ld(c.cols);
+  std::vector<std::int16_t> panel(
+      static_cast<std::size_t>(core::int_gemm_pairs(c.depth) * ld * 2), 0);
+  for (std::int64_t k = 0; k < c.depth; ++k) {
+    for (std::int64_t j = 0; j < c.cols; ++j) {
+      panel[static_cast<std::size_t>(((k / 2) * ld + j) * 2 + k % 2)] =
+          c.x[static_cast<std::size_t>(k * c.cols + j)];
+    }
+  }
+  return panel;
+}
+
+// Output rows are permuted through row_map and interleaved with rows the
+// GEMM never writes (the pruned-filter slots), which must stay untouched.
+struct StoreCase {
+  std::vector<std::int32_t> row_map;
+  std::vector<float> bias;
+  std::vector<float> out;
+  std::int64_t out_rows;
+};
+
+StoreCase make_store(const PackedCase& c, support::Rng& rng) {
+  StoreCase s;
+  s.out_rows = 2 * c.rows + 1;
+  for (std::int64_t r = 0; r < c.rows; ++r) {
+    s.row_map.push_back(static_cast<std::int32_t>(s.out_rows - 1 - 2 * r));
+  }
+  for (std::int64_t o = 0; o < s.out_rows; ++o) {
+    s.bias.push_back(static_cast<float>(rng.normal(0.0, 1.0)));
+  }
+  s.out.assign(static_cast<std::size_t>(s.out_rows * c.cols), -7.0F);
+  return s;
+}
+
+std::vector<float> naive_gemm(const PackedCase& c, const StoreCase& s,
+                              float scale) {
+  std::vector<float> out(static_cast<std::size_t>(s.out_rows * c.cols), -7.0F);
+  for (std::int64_t r = 0; r < c.rows; ++r) {
+    const std::int32_t o = s.row_map[static_cast<std::size_t>(r)];
+    for (std::int64_t j = 0; j < c.cols; ++j) {
+      std::int64_t acc = 0;
+      for (std::int64_t k = 0; k < c.depth; ++k) {
+        acc += c.w[static_cast<std::size_t>(r * c.depth + k)] *
+               c.x[static_cast<std::size_t>(k * c.cols + j)];
       }
-      // Entry streams in plan layout: offsets into the input plane plus a
-      // per-entry int32 multiplier. Entry counts 1/7/9/all exercise short
-      // filters whose streams end mid-vector.
-      std::vector<std::int64_t> off;
-      std::vector<std::int32_t> mult;
-      for (std::int64_t c = 0; c < channels; ++c) {
-        for (std::int64_t ky = 0; ky < kernel; ++ky) {
-          for (std::int64_t kx = 0; kx < kernel; ++kx) {
-            off.push_back(c * in_h * in_w + ky * in_w + kx);
-            mult.push_back(static_cast<std::int32_t>(rng.uniform_index(129)) -
-                           64);
-          }
+      out[static_cast<std::size_t>(o * c.cols + j)] =
+          static_cast<float>(acc) * scale +
+          s.bias[static_cast<std::size_t>(o)];
+    }
+  }
+  return out;
+}
+
+TEST(ShiftKernelDiffTest, IntGemmKernelDirect) {
+  support::Rng rng(104);
+  const float scale = 0.0078125F;
+  for (const std::int64_t rows : {1, 3, 4, 5, 9}) {
+    for (const std::int64_t depth : {1, 2, 3, 27, 72}) {
+      for (const std::int64_t cols : {1, 2, 15, 16, 17, 33, 130}) {
+        const PackedCase c = random_case(rows, depth, cols, 128, rng);
+        const auto w = pack_weights<std::int16_t>(c);
+        const auto x = pack_activations(c);
+        const core::IntGemmShape shape{rows, core::int_gemm_pairs(depth), cols};
+        for (const int tier : tiers()) {
+          StoreCase s = make_store(c, rng);
+          const std::vector<float> want = naive_gemm(c, s, scale);
+          core::int_gemm(static_cast<KernelTier>(tier), w.data(), x.data(),
+                         shape,
+                         {s.out.data(), cols, s.row_map.data(), s.bias.data(),
+                          scale});
+          EXPECT_EQ(std::memcmp(want.data(), s.out.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "rows=" << rows << " depth=" << depth << " cols=" << cols
+              << " tier=" << tier;
         }
       }
-      const ConvInteriorGeom geom{in_w, out_w,     padding,
-                                  1,    out_h - 1, 1,
-                                  out_w - 1};
-      for (const std::int64_t entries :
-           {std::int64_t{1}, std::int64_t{7}, std::int64_t{9},
-            static_cast<std::int64_t>(off.size())}) {
-        std::vector<std::int32_t> acc_scalar(
-            static_cast<std::size_t>(out_h * out_w), 0);
-        std::vector<std::int32_t> acc_vector(acc_scalar);
-        scalar_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
-                  acc_scalar.data());
-        vector_fn(in.data(), off.data(), mult.data(), 0, entries, geom,
-                  acc_vector.data());
-        EXPECT_EQ(acc_scalar, acc_vector)
-            << "in_w=" << in_w << " in_h=" << in_h << " entries=" << entries;
-      }
     }
   }
 }
 
-TEST(ShiftKernelDiffTest, ShiftDotKernelDirectWithPadding) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  const ShiftDotFn scalar_fn =
-      shift_kernels_for(KernelTier::kScalar).shift_dot_i32;
-  const ShiftDotFn vector_fn =
-      shift_kernels_for(KernelTier::kAvx2).shift_dot_i32;
+TEST(ShiftKernelDiffTest, IntGemmWideWeightsDirect) {
   support::Rng rng(105);
-  std::vector<std::int32_t> in(37);
-  for (auto& v : in) {
-    v = static_cast<std::int32_t>(rng.uniform_index(255)) - 127;
-  }
-  for (std::int64_t len = 1; len <= 17; ++len) {
-    // The plan pads each filter's stream to a lane multiple with
-    // (element 0, mult 0) no-ops; the vector kernel runs to the padded end,
-    // the scalar oracle over the unpadded entries. Buffers are exactly the
-    // padded size -- one element further and ASan fires.
-    const std::int64_t padded =
-        (len + kShiftVectorLane - 1) / kShiftVectorLane * kShiftVectorLane;
-    std::vector<std::int32_t> element(static_cast<std::size_t>(padded), 0);
-    std::vector<std::int32_t> mult(static_cast<std::size_t>(padded), 0);
-    for (std::int64_t e = 0; e < len; ++e) {
-      element[static_cast<std::size_t>(e)] =
-          static_cast<std::int32_t>(rng.uniform_index(in.size()));
-      mult[static_cast<std::size_t>(e)] =
-          static_cast<std::int32_t>(rng.uniform_index(129)) - 64;
-    }
-    const std::int64_t scalar_acc =
-        scalar_fn(in.data(), element.data(), mult.data(), 0, len);
-    const std::int64_t vector_acc =
-        vector_fn(in.data(), element.data(), mult.data(), 0, padded);
-    EXPECT_EQ(scalar_acc, vector_acc) << "len=" << len;
+  const float scale = 0.25F;
+  for (const std::int64_t cols : {1, 7, 16, 21}) {
+    // Weights up to 2^40: only the int64 route can hold them.
+    const PackedCase c =
+        random_case(6, 11, cols, std::int64_t{1} << 40, rng);
+    const auto w = pack_weights<std::int64_t>(c);
+    const auto x = pack_activations(c);
+    StoreCase s = make_store(c, rng);
+    const std::vector<float> want = naive_gemm(c, s, scale);
+    core::int_gemm(w.data(), x.data(), {6, core::int_gemm_pairs(11), cols},
+                   {s.out.data(), cols, s.row_map.data(), s.bias.data(), scale});
+    EXPECT_EQ(std::memcmp(want.data(), s.out.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "cols=" << cols;
   }
 }
 
@@ -297,8 +415,7 @@ std::unique_ptr<nn::Sequential> small_model() {
 }
 
 TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  TierGuard guard;
+  const TierGuard guard;
   auto model = small_model();
   const auto network =
       QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16});
@@ -309,7 +426,7 @@ TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
   const Tensor baseline = network.run(image);
   for (const int threads : {1, 2, 4, 7}) {
     runtime::set_num_threads(threads);
-    for (const int tier : {0, 1}) {
+    for (const int tier : tiers()) {
       set_kernel_tier_override(tier);
       const Tensor logits = network.run(image);
       EXPECT_TRUE(bytes_equal(baseline, logits))
@@ -322,8 +439,7 @@ TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
 // --- Artifact-adopted plans (zero-copy mmap views) -------------------------
 
 TEST(ShiftKernelDiffTest, ArtifactPlansRunBothTiersBitIdentical) {
-  if (!host_has_vector_tier()) GTEST_SKIP() << "host lacks AVX2";
-  TierGuard guard;
+  const TierGuard guard;
   runtime::set_num_threads(1);
   auto model = small_model();
   const Shape input_shape{1, 3, 16, 16};
@@ -336,21 +452,19 @@ TEST(ShiftKernelDiffTest, ArtifactPlansRunBothTiersBitIdentical) {
   serialize::save_artifact(program, path);
   {
     // mmap-backed load: the adopted plans' core streams are views into the
-    // mapping; the derived vector streams are rebuilt (and owned) by the
-    // adopting constructors. Both tiers must match the weights-built
-    // network byte for byte.
+    // mapping; the GEMM panels are packed (and owned) by the adopting
+    // constructors. Every tier must match the weights-built network's
+    // scalar logits byte for byte.
     const serialize::ArtifactModel mapped = serialize::ArtifactModel::load(path);
     support::Rng rng(107);
     Tensor image = Tensor::randn(Shape{3, 16, 16}, rng);
     set_kernel_tier_override(0);
-    const Tensor direct_scalar = direct.run(image);
-    const Tensor mapped_scalar = mapped.network().run(image);
-    set_kernel_tier_override(1);
-    const Tensor direct_vector = direct.run(image);
-    const Tensor mapped_vector = mapped.network().run(image);
-    EXPECT_TRUE(bytes_equal(direct_scalar, mapped_scalar));
-    EXPECT_TRUE(bytes_equal(direct_scalar, direct_vector));
-    EXPECT_TRUE(bytes_equal(direct_scalar, mapped_vector));
+    const Tensor baseline = direct.run(image);
+    for (const int tier : tiers()) {
+      set_kernel_tier_override(tier);
+      EXPECT_TRUE(bytes_equal(baseline, direct.run(image))) << tier;
+      EXPECT_TRUE(bytes_equal(baseline, mapped.network().run(image))) << tier;
+    }
   }
   std::remove(path.c_str());
 }

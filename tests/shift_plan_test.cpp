@@ -131,8 +131,10 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
 
           const inference::ShiftConv2d engine(wq, k_max, config, stride,
                                               padding);
-          check_plan_invariants(engine.plan(), config, /*conv=*/true);
-          EXPECT_EQ(engine.plan().entries(),
+          const inference::ShiftLowering lowered =
+              inference::lower_shift_weights(wq, k_max, config);
+          check_plan_invariants(lowered.plan, config, /*conv=*/true);
+          EXPECT_EQ(lowered.plan.entries(),
                     expected_entries(wq, k_max, config))
               << "plan did not elide exactly the zero elements";
 
@@ -194,8 +196,10 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       prune_filters(wq, fraction);
 
       const inference::ShiftLinear engine(wq, k_max, config);
-      check_plan_invariants(engine.plan(), config, /*conv=*/false);
-      EXPECT_EQ(engine.plan().entries(), expected_entries(wq, k_max, config));
+      const inference::ShiftLowering lowered =
+          inference::lower_shift_weights(wq, k_max, config);
+      check_plan_invariants(lowered.plan, config, /*conv=*/false);
+      EXPECT_EQ(lowered.plan.entries(), expected_entries(wq, k_max, config));
 
       const Tensor x = Tensor::randn(Shape{in_features}, rng);
       const auto q = inference::quantize_tensor(x, 8);
@@ -220,8 +224,9 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   const quant::Pow2Config config;
   Tensor wq = Tensor::zeros(Shape{2, 1, 3, 3});
   wq.data()[0] = 1.0F;  // filter 0, element (0, 0, 0); filter 1 pruned
-  const inference::ShiftConv2d engine(wq, 1, config, 1, 1);
-  const auto& plan = engine.plan();
+  const inference::ShiftLowering lowered =
+      inference::lower_shift_weights(wq, 1, config);
+  const auto& plan = lowered.plan;
   ASSERT_EQ(plan.entries(), 1);
   EXPECT_EQ(plan.element[0], 0);
   EXPECT_EQ(plan.channel[0], 0);
@@ -235,7 +240,7 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
 }
 
 // Bias handling must match the oracle (bias folds in after dequantization,
-// independent of the entry walk).
+// in the GEMM's store pass).
 TEST(ShiftPlanPropertyTest, BiasFoldsIdenticallyOnBothPaths) {
   const quant::Pow2Config config;
   support::Rng rng(5);
