@@ -5,6 +5,9 @@
 // result file is traceable to the code that produced it. No external JSON
 // dependency: the writer only needs objects, arrays, strings and numbers.
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -16,6 +19,7 @@
 #endif
 
 #include "runtime/scratch_arena.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/simd.hpp"
 
 namespace flightnn::bench {
@@ -138,18 +142,65 @@ inline long long peak_rss_kib() {
 #endif
 }
 
+// Wall time of `threads` threads each running the same fixed dependent
+// integer loop (~10 ms on one core).
+inline double spin_seconds(int threads) {
+  std::vector<std::uint64_t> sink(static_cast<std::size_t>(threads));
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> spinners;
+  spinners.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    spinners.emplace_back([&sink, t] {
+      std::uint64_t x = static_cast<std::uint64_t>(t) + 1U;
+      for (int i = 0; i < 4'000'000; ++i) {
+        x ^= x << 13U;
+        x ^= x >> 7U;
+        x ^= x << 17U;
+      }
+      sink[static_cast<std::size_t>(t)] = x;
+    });
+  }
+  for (auto& spinner : spinners) spinner.join();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  volatile std::uint64_t keep = 0;
+  for (const std::uint64_t v : sink) keep = keep + v;
+  return elapsed;
+}
+
+// Cores the host delivers to `threads` busy threads right now: threads x
+// (1-thread spin time / `threads`-thread spin time), best of three each so
+// transient preemption is filtered out. On shared VMs this can sit far
+// below hardware_concurrency, which is why every BENCH_*.json records it.
+inline double effective_cores(int threads) {
+  double one = 1e300;
+  double all = 1e300;
+  for (int r = 0; r < 3; ++r) {
+    one = std::min(one, spin_seconds(1));
+    all = std::min(all, spin_seconds(threads));
+  }
+  return static_cast<double>(threads) * one / all;
+}
+
 // Host provenance block every BENCH_*.json carries: a throughput or kernel
 // number is only comparable to another run if the CPU topology and the ISA
 // tier the dispatcher picked are known. `dispatch_tier` is the tier the
 // bench actually ran with (core::active_kernel_tier()'s name), which can
 // differ from the detected ISA under FLIGHTNN_FORCE_SCALAR or the test
-// override. The memory fields record what the run actually cost: the OS's
-// peak-RSS charge and the calling thread's scratch-arena footprint at
-// emission time (workers' arenas are per-thread and not visible here).
+// override. `effective_cores` is measured at emission time at the runtime's
+// configured thread count, so a scaling number can be read against the
+// cores the host actually delivered. The memory fields record what the run
+// actually cost: the OS's peak-RSS charge and the calling thread's
+// scratch-arena footprint at emission time (workers' arenas are per-thread
+// and not visible here).
 inline void add_host_info(JsonObject& object, const std::string& dispatch_tier) {
   JsonObject host;
   host.add_int("hardware_concurrency",
                static_cast<long long>(std::thread::hardware_concurrency()));
+  const int threads = runtime::num_threads();
+  host.add_int("num_threads", threads);
+  host.add_number("effective_cores", effective_cores(threads));
   host.add_bool("avx2", support::cpu_has_avx2());
   host.add_bool("fma", support::cpu_has_fma());
   host.add_string("dispatch_tier", dispatch_tier);

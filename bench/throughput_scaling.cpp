@@ -23,7 +23,6 @@
 #include <cstring>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -76,46 +75,6 @@ bool bitwise_equal(const std::vector<tensor::Tensor>& a,
     }
   }
   return true;
-}
-
-// Wall time of `threads` threads each running the same fixed dependent
-// integer loop (~10 ms on one core).
-double spin_seconds(int threads) {
-  std::vector<std::uint64_t> sink(static_cast<std::size_t>(threads));
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> spinners;
-  spinners.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    spinners.emplace_back([&sink, t] {
-      std::uint64_t x = static_cast<std::uint64_t>(t) + 1U;
-      for (int i = 0; i < 4'000'000; ++i) {
-        x ^= x << 13U;
-        x ^= x >> 7U;
-        x ^= x << 17U;
-      }
-      sink[static_cast<std::size_t>(t)] = x;
-    });
-  }
-  for (auto& spinner : spinners) spinner.join();
-  const double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  volatile std::uint64_t keep = 0;
-  for (const std::uint64_t v : sink) keep = keep + v;
-  return elapsed;
-}
-
-// Cores the host delivers to `threads` busy threads right now: threads x
-// (1-thread spin time / `threads`-thread spin time), best of three each so
-// transient preemption is filtered out.
-double effective_cores(int threads) {
-  double one = 1e300;
-  double all = 1e300;
-  for (int r = 0; r < 3; ++r) {
-    one = std::min(one, spin_seconds(1));
-    all = std::min(all, spin_seconds(threads));
-  }
-  return static_cast<double>(threads) * one / all;
 }
 
 // Median-of-repeats wall time of one engine run, in seconds.
@@ -218,7 +177,7 @@ int main(int argc, char** argv) {
   std::vector<tensor::Tensor> reference;
   for (const int threads : sweep) {
     runtime::set_num_threads(threads);
-    const double cores = effective_cores(threads);
+    const double cores = bench::effective_cores(threads);
     std::vector<tensor::Tensor> logits;
     const double throughput = run_once(runner, request, repeats, &logits);
     if (threads == 1) {

@@ -1,37 +1,19 @@
 #include "inference/memory_plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 
 #include "core/conv_lowering.hpp"
 #include "inference/quantized_network.hpp"
 #include "runtime/scratch_arena.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 #include "support/logging.hpp"
 #include "tensor/buffer_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace flightnn::inference {
 
-namespace {
-
 using tensor::Shape;
-
-std::atomic<int> g_planning_override{-1};
-
-}  // namespace
-
-bool memory_planning_enabled() {
-  const int forced = g_planning_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return support::env_int("FLIGHTNN_FORCE_DYNAMIC_ARENA").value_or(0) == 0;
-}
-
-void set_memory_planning_override(int mode) {
-  g_planning_override.store(mode, std::memory_order_relaxed);
-}
 
 // Shape-and-liveness simulation of one program. Mirrors the semantics of
 // QuantizedNetwork::run / from_program exactly: flat pre-order op indices
@@ -44,7 +26,6 @@ void set_memory_planning_override(int mode) {
 // reports the canonical error).
 struct MemoryPlan::Analysis {
   const NetworkProgram& program;
-  std::vector<runtime::BufferInterval> intervals;
   std::vector<OpMemory> per_op;
   std::vector<ActivationInterval> acts;
   std::vector<Shape> act_shapes;  // parallel to acts
@@ -93,14 +74,10 @@ struct MemoryPlan::Analysis {
 
   // The op's int16 patch-panel scratch for im2col_pairs over `geom`
   // (ShiftConv2d/ShiftLinear::run fetch exactly this many elements).
-  void note_patches(OpMemory& mem, std::uint32_t t,
-                    const tensor::ConvGeometry& geom) {
+  static void note_patches(OpMemory& mem, const tensor::ConvGeometry& geom) {
     mem.scratch_bytes =
         static_cast<std::size_t>(core::im2col_pairs_scratch(geom)) *
         sizeof(std::int16_t);
-    intervals.push_back(runtime::BufferInterval{
-        t, runtime::Scratch::kPatchPanel, mem.scratch_bytes, t, t,
-        runtime::kUnassignedOffset});
   }
 
   // Walk the ops of a residual segment as a chain: entry deep copy, then
@@ -148,7 +125,7 @@ struct MemoryPlan::Analysis {
                        "memory plan: shift conv at op ", t,
                        " produces empty output from ", in.to_string());
         note_quant(mem, in.numel());
-        note_patches(mem, t, geom);
+        note_patches(mem, geom);
         use(cur, t);
         return define(t, Shape{out_c, out_h, out_w});
       }
@@ -191,8 +168,7 @@ struct MemoryPlan::Analysis {
         FLIGHTNN_CHECK(out_f > 0 && op.in_channels > 0,
                        "memory plan: bad shift linear at op ", t);
         note_quant(mem, in.numel());
-        note_patches(mem, t,
-                     tensor::ConvGeometry{op.in_channels, 1, 1, 1, 1, 0});
+        note_patches(mem, tensor::ConvGeometry{op.in_channels, 1, 1, 1, 1, 0});
         use(cur, t);
         return define(t, Shape{out_f});
       }
@@ -240,8 +216,16 @@ struct MemoryPlan::Analysis {
         }
         use(main_out, t_add);
         use(skip_out, t_add);
-        if (op.post_ops == 0) return main_out;
-        return walk_chain(cursor, op.post_ops, main_out, t_add);
+        const std::size_t out =
+            op.post_ops == 0 ? main_out
+                             : walk_chain(cursor, op.post_ops, main_out, t_add);
+        // The step's input and its main_out/skip_out locals are held until
+        // it returns, so they stay live through the post chain.
+        const auto t_end = static_cast<std::uint32_t>(cursor - 1);
+        for (const std::size_t held : {cur, main_out, skip_out}) {
+          use(held, t_end);
+        }
+        return out;
       }
     }
     FLIGHTNN_CHECK(false, "memory plan: unknown op kind ",
@@ -254,16 +238,13 @@ MemoryPlan::MemoryPlan(const NetworkProgram& program)
     : MemoryPlan(Analysis(program)) {}
 
 MemoryPlan::MemoryPlan(Analysis&& analysis)
-    : layout_(std::move(analysis.intervals),
-              static_cast<std::uint32_t>(analysis.per_op.size())),
-      per_op_(std::move(analysis.per_op)),
+    : per_op_(std::move(analysis.per_op)),
       activations_(std::move(analysis.acts)),
       quant_peak_values_(analysis.quant_peak_values) {
-  // Propagate the colored offsets back into the per-op census.
-  for (const runtime::BufferInterval& interval : layout_.intervals()) {
-    OpMemory& mem = per_op_[interval.op];
-    mem.scratch_offset = std::min(mem.scratch_offset, interval.offset);
+  for (const OpMemory& mem : per_op_) {
+    arena_capacity_bytes_ = std::max(arena_capacity_bytes_, mem.scratch_bytes);
   }
+  arena_capacity_bytes_ = runtime::align_up(arena_capacity_bytes_);
   // Activation peak and per-numel working set: sweep every op time and count
   // the live intervals. O(ops * activations) -- trivially fast at network
   // sizes and only run at plan-compile time.
@@ -294,15 +275,16 @@ std::shared_ptr<const MemoryPlan> MemoryPlan::try_build(
   } catch (const support::CheckFailure& failure) {
     // Structurally invalid program: skip planning so from_program's walk
     // reports the canonical diagnostic (or, if only the planner objects,
-    // execution stays on the dynamic route).
-    support::log_debug() << "memory plan: analysis failed, staying dynamic: "
+    // the network runs unwarmed and its scratch grows on first use).
+    support::log_debug() << "memory plan: analysis failed, no plan: "
                          << failure.what();
     return nullptr;
   }
 }
 
 void MemoryPlan::warm_thread() const {
-  runtime::ScratchArena::current().adopt_layout(layout_);
+  runtime::ScratchArena::current().reserve(runtime::Scratch::kPatchPanel,
+                                          arena_capacity_bytes_);
   for (const auto& [numel, count] : working_set_) {
     tensor::pool::prewarm(numel, count);
   }

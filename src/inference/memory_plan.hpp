@@ -7,10 +7,10 @@
 // op, exactly which buffers its kernel will touch and for how long:
 //
 //   - Arena scratch (each shift layer's int16 K-pair patch panel, the one
-//     operand of its GEMM built per image): packed into one 64-byte-aligned
-//     per-thread arena by the interval coloring in runtime/memory_plan.hpp.
-//     Activations are int16 on every GEMM route, so the extent is exact;
-//     accumulators live in registers.
+//     operand of its GEMM built per image): op-local, so one per-thread
+//     slot sized to the largest panel serves every op
+//     (runtime/scratch_arena.hpp). Activations are int16 on every GEMM
+//     route, so the extent is exact; accumulators live in registers.
 //   - Activations (step outputs, residual chain-entry copies, reshapes):
 //     value-semantic pooled tensors, so they stay in tensor::pool; the
 //     planner accounts their live intervals and prewarms the pool with the
@@ -18,12 +18,6 @@
 //     removes the first-batch warmup allocations on that route too.
 //   - Quantization scratch (the per-thread QuantizedActivations buffer):
 //     sized to the largest shift-layer input and pre-reserved.
-//
-// The dynamic grow-once arena remains both the fallback (a fetch that
-// misses its planned extent degrades to the dynamic slot and bumps a miss
-// counter) and the differential oracle: FLIGHTNN_FORCE_DYNAMIC_ARENA=1 (or
-// set_memory_planning_override) disables planning so tests can memcmp
-// planned-vs-dynamic logits.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +26,6 @@
 #include <vector>
 
 #include "inference/network_program.hpp"
-#include "runtime/memory_plan.hpp"
 #include "tensor/tensor.hpp"
 
 namespace flightnn::inference {
@@ -42,11 +35,8 @@ namespace flightnn::inference {
 struct OpMemory {
   std::uint32_t op = 0;
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
-  // Arena-backed scratch this op's kernel fetches (its planned patch panel).
+  // Arena-backed scratch this op's kernel fetches (its patch panel).
   std::size_t scratch_bytes = 0;
-  // Lowest planned arena offset among this op's extents (kUnassignedOffset
-  // when the op uses no arena scratch).
-  std::size_t scratch_offset = runtime::kUnassignedOffset;
   std::size_t activation_bytes = 0;  // output tensor bytes (pool-backed)
   std::size_t quant_bytes = 0;       // quant-scratch bytes while running
 };
@@ -60,10 +50,9 @@ struct ActivationInterval {
 
 class MemoryPlan {
  public:
-  // Analyzes `program` and colors the arena layout. Throws CheckFailure on
-  // structurally invalid programs (same conditions from_program rejects);
-  // use try_build when the caller wants the canonical from_program error
-  // instead.
+  // Analyzes `program`. Throws CheckFailure on structurally invalid
+  // programs (same conditions from_program rejects); use try_build when the
+  // caller wants the canonical from_program error instead.
   explicit MemoryPlan(const NetworkProgram& program);
 
   // Builds a plan, or returns nullptr when the program is structurally
@@ -72,9 +61,11 @@ class MemoryPlan {
   static std::shared_ptr<const MemoryPlan> try_build(
       const NetworkProgram& program);
 
-  [[nodiscard]] const runtime::ArenaLayout& layout() const { return layout_; }
+  // Bytes of the per-thread patch-panel slot: the largest op's panel,
+  // rounded up to the arena alignment (scratch is op-local, so no two
+  // panels are ever live together).
   [[nodiscard]] std::size_t arena_capacity_bytes() const {
-    return layout_.capacity_bytes();
+    return arena_capacity_bytes_;
   }
   // Peak of the summed live activation bytes over the program (pool-backed
   // working set of the thread driving run()).
@@ -87,8 +78,8 @@ class MemoryPlan {
   [[nodiscard]] std::size_t quant_peak_bytes() const {
     return quant_peak_values_ * sizeof(std::int32_t);
   }
-  // Planned bytes one worker thread holds in steady state: the arena block
-  // plus its quantization scratch. (The thread running the step loop
+  // Planned bytes one worker thread holds in steady state: the patch-panel
+  // slot plus its quantization scratch. (The thread running the step loop
   // additionally carries the activation working set.)
   [[nodiscard]] std::size_t planned_per_thread_bytes() const {
     return arena_capacity_bytes() + quant_peak_bytes();
@@ -105,33 +96,21 @@ class MemoryPlan {
   }
 
   // Prepare the calling thread for allocation-free planned execution from
-  // the first batch: adopt the arena layout, prewarm the buffer pool with
-  // the activation working set, and pre-reserve the quantization scratch.
+  // the first batch: reserve the patch-panel slot to the plan's peak,
+  // prewarm the buffer pool with the activation working set, and
+  // pre-reserve the quantization scratch.
   void warm_thread() const;
 
  private:
   struct Analysis;
   explicit MemoryPlan(Analysis&& analysis);
 
-  runtime::ArenaLayout layout_;
   std::vector<OpMemory> per_op_;
   std::vector<ActivationInterval> activations_;
   std::vector<std::pair<std::size_t, std::size_t>> working_set_;
+  std::size_t arena_capacity_bytes_ = 0;
   std::size_t activation_peak_bytes_ = 0;
   std::size_t quant_peak_values_ = 0;
 };
-
-// --- Planned-arena policy ----------------------------------------------------
-//
-// Planning is on by default. FLIGHTNN_FORCE_DYNAMIC_ARENA=1 disables it process-wide; the programmatic
-// override wins over the environment (differential tests flip it between
-// runs of the same program).
-
-// Whether from_program should attach a MemoryPlan right now.
-[[nodiscard]] bool memory_planning_enabled();
-
-// Test hook: 0 = force dynamic, 1 = force planned, -1 = clear (environment
-// decides again).
-void set_memory_planning_override(int mode);
 
 }  // namespace flightnn::inference

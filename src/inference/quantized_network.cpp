@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "support/annotations.hpp"
@@ -48,8 +47,8 @@ class QuantizeActStep final : public Step {
 
 class ShiftConvStep final : public Step {
  public:
-  ShiftConvStep(ShiftConv2d engine, int act_bits, runtime::PlanContext ctx)
-      : engine_(std::move(engine)), act_bits_(act_bits), ctx_(ctx) {}
+  ShiftConvStep(ShiftConv2d engine, int act_bits)
+      : engine_(std::move(engine)), act_bits_(act_bits) {}
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* counts) const override {
     // Inputs arriving here are already on the activation-quantizer grid, so
@@ -57,8 +56,7 @@ class ShiftConvStep final : public Step {
     QuantizedActivations& q = quant_scratch();
     quantize_image_into(input, act_bits_, q);
     OpCounts ops{};
-    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr,
-                                     ctx_.layout != nullptr ? &ctx_ : nullptr);
+    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr);
     if (counts != nullptr) {
       counts->shifts += ops.shifts;
       counts->adds += ops.adds;
@@ -79,9 +77,6 @@ class ShiftConvStep final : public Step {
  private:
   ShiftConv2d engine_;
   int act_bits_;
-  // Planned-arena context; layout lives in the owning network's shared
-  // MemoryPlan, so the pointer stays valid across network moves.
-  runtime::PlanContext ctx_;
 };
 
 class FloatConvStep final : public Step {
@@ -231,8 +226,8 @@ class FlattenStep final : public Step {
 
 class ShiftLinearStep final : public Step {
  public:
-  ShiftLinearStep(ShiftLinear engine, int act_bits, runtime::PlanContext ctx)
-      : engine_(std::move(engine)), act_bits_(act_bits), ctx_(ctx) {}
+  ShiftLinearStep(ShiftLinear engine, int act_bits)
+      : engine_(std::move(engine)), act_bits_(act_bits) {}
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* counts) const override {
     // No explicit flatten: quantization is shape-oblivious and the engine
@@ -241,8 +236,7 @@ class ShiftLinearStep final : public Step {
     quantize_tensor_into(input, act_bits_, q);
     q.shape = tensor::Shape{input.numel()};
     OpCounts ops{};
-    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr,
-                                     ctx_.layout != nullptr ? &ctx_ : nullptr);
+    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr);
     if (counts != nullptr) {
       counts->shifts += ops.shifts;
       counts->adds += ops.adds;
@@ -262,7 +256,6 @@ class ShiftLinearStep final : public Step {
  private:
   ShiftLinear engine_;
   int act_bits_;
-  runtime::PlanContext ctx_;  // see ShiftConvStep
 };
 
 class FloatLinearStep final : public Step {
@@ -342,13 +335,11 @@ class ResidualStep final : public Step {
 // loader leans on this as its final structural gate.
 
 StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
-                   std::size_t end, const runtime::ArenaLayout* layout);
+                   std::size_t end);
 
 std::vector<StepPtr> build_segment(std::vector<ProgramOp>& ops,
                                    std::size_t& cursor, std::int64_t count,
-                                   std::size_t end,
-                                   const runtime::ArenaLayout* layout,
-                                   const char* what) {
+                                   std::size_t end, const char* what) {
   FLIGHTNN_CHECK(count >= 0 && static_cast<std::size_t>(count) <= end - cursor,
                  "from_program: residual ", what, " segment claims ", count,
                  " ops but only ", end - cursor, " remain");
@@ -356,17 +347,14 @@ std::vector<StepPtr> build_segment(std::vector<ProgramOp>& ops,
   std::vector<StepPtr> steps;
   steps.reserve(static_cast<std::size_t>(count));
   while (cursor < segment_end) {
-    steps.push_back(build_step(ops, cursor, segment_end, layout));
+    steps.push_back(build_step(ops, cursor, segment_end));
   }
   return steps;
 }
 
 StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
-                   std::size_t end, const runtime::ArenaLayout* layout) {
+                   std::size_t end) {
   FLIGHTNN_CHECK(cursor < end, "from_program: op stream exhausted");
-  // The planner keyed this op's arena extents by its flat index.
-  const auto op_index = static_cast<std::uint32_t>(cursor);
-  const runtime::PlanContext ctx{layout, op_index};
   ProgramOp op = std::move(ops[cursor]);
   ++cursor;
   switch (op.kind) {
@@ -383,7 +371,7 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       return std::make_unique<ShiftConvStep>(
           ShiftConv2d({std::move(op.plan), op.term_count}, spec, op.pow2,
                       std::move(op.bias)),
-          op.act_bits, ctx);
+          op.act_bits);
     }
     case ProgramOpKind::kFloatConv:
       FLIGHTNN_CHECK(op.weights.shape().rank() == 4,
@@ -416,7 +404,7 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       return std::make_unique<ShiftLinearStep>(
           ShiftLinear({std::move(op.plan), op.term_count}, spec, op.pow2,
                       std::move(op.bias)),
-          op.act_bits, ctx);
+          op.act_bits);
     }
     case ProgramOpKind::kFloatLinear:
       FLIGHTNN_CHECK(op.weights.shape().rank() == 2,
@@ -427,12 +415,10 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       FLIGHTNN_CHECK(op.has_shortcut || op.shortcut_ops == 0,
                      "from_program: residual without shortcut claims ",
                      op.shortcut_ops, " shortcut ops");
-      auto main_steps =
-          build_segment(ops, cursor, op.main_ops, end, layout, "main");
-      auto shortcut_steps = build_segment(ops, cursor, op.shortcut_ops, end,
-                                          layout, "shortcut");
-      auto post_steps =
-          build_segment(ops, cursor, op.post_ops, end, layout, "post");
+      auto main_steps = build_segment(ops, cursor, op.main_ops, end, "main");
+      auto shortcut_steps =
+          build_segment(ops, cursor, op.shortcut_ops, end, "shortcut");
+      auto post_steps = build_segment(ops, cursor, op.post_ops, end, "post");
       return std::make_unique<ResidualStep>(
           std::move(main_steps), std::move(shortcut_steps), op.has_shortcut,
           std::move(post_steps));
@@ -441,52 +427,6 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
   FLIGHTNN_CHECK(false, "from_program: unknown op kind ",
                  static_cast<std::uint32_t>(op.kind));
   return nullptr;  // unreachable
-}
-
-// Compact byte count for the profile table ("832B", "4.5K", "1.2M").
-std::string format_bytes(std::size_t bytes) {
-  char buffer[32];
-  if (bytes < 1024) {
-    std::snprintf(buffer, sizeof(buffer), "%zuB", bytes);
-  } else if (bytes < (std::size_t{1} << 20)) {
-    std::snprintf(buffer, sizeof(buffer), "%.1fK",
-                  static_cast<double>(bytes) / 1024.0);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "%.1fM",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0));
-  }
-  return buffer;
-}
-
-// Fill a step's planned-scratch column from the memory plan: the flat ops
-// [begin, end) the step was built from (a single op for plain steps, the
-// whole subtree for residuals). Single-buffer steps show the exact
-// placement; aggregates summarize.
-void fill_planned_scratch(const MemoryPlan& plan, std::uint32_t begin,
-                          std::uint32_t end, StepProfile& out) {
-  std::size_t total = 0;
-  std::size_t buffers = 0;
-  std::string detail;
-  for (std::uint32_t op = begin; op < end && op < plan.per_op().size(); ++op) {
-    const OpMemory& mem = plan.per_op()[op];
-    if (mem.scratch_bytes == 0) continue;
-    total += mem.scratch_bytes;
-    ++buffers;
-    const auto panel = plan.layout().find(op, runtime::Scratch::kPatchPanel);
-    if (detail.empty() && panel.offset != runtime::kUnassignedOffset) {
-      detail = "patch@" + std::to_string(panel.offset) + "+" +
-               format_bytes(panel.bytes);
-    }
-  }
-  out.planned_scratch_bytes = total;
-  if (total == 0) {
-    out.planned_layout = "-";
-  } else if (buffers == 1) {
-    out.planned_layout = detail;
-  } else {
-    out.planned_layout =
-        std::to_string(buffers) + " bufs " + format_bytes(total);
-  }
 }
 
 }  // namespace
@@ -503,20 +443,15 @@ QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
 
 QuantizedNetwork QuantizedNetwork::from_program(NetworkProgram program) {
   QuantizedNetwork network;
-  // Plan the memory layout before build_step consumes the ops; on the
-  // artifact load path this is the in-loader rebuild (format stays v1).
-  if (memory_planning_enabled()) {
-    network.memory_plan_ = MemoryPlan::try_build(program);
-  }
-  const runtime::ArenaLayout* layout =
-      network.memory_plan_ ? &network.memory_plan_->layout() : nullptr;
+  // Plan memory before build_step consumes the ops; on the artifact load
+  // path this is the in-loader rebuild (format stays v1).
+  network.memory_plan_ = MemoryPlan::try_build(program);
   std::size_t cursor = 0;
   const std::size_t end = program.ops.size();
   network.steps_.reserve(end);
   while (cursor < end) {
     const auto begin = static_cast<std::uint32_t>(cursor);
-    network.steps_.push_back(
-        build_step(program.ops, cursor, end, layout));
+    network.steps_.push_back(build_step(program.ops, cursor, end));
     network.step_ops_.emplace_back(begin, static_cast<std::uint32_t>(cursor));
   }
   return network;
@@ -572,9 +507,13 @@ std::vector<StepProfile> QuantizedNetwork::profile(const tensor::Tensor& image,
     p.name = step->describe();
     p.terms = step->term_count();
     p.kernel_tier = step->kernel_tier();
-    if (memory_plan_ != nullptr && i < step_ops_.size()) {
-      fill_planned_scratch(*memory_plan_, step_ops_[i].first,
-                           step_ops_[i].second, p);
+    if (memory_plan_ != nullptr) {
+      // The flat ops the step was built from: one op for plain steps, the
+      // whole subtree for residuals.
+      for (std::uint32_t op = step_ops_[i].first; op < step_ops_[i].second;
+           ++op) {
+        p.planned_scratch_bytes += memory_plan_->per_op()[op].scratch_bytes;
+      }
     }
     NetworkOpCounts ops{};
     tensor::Tensor out;

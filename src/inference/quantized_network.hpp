@@ -54,12 +54,9 @@ struct StepProfile {
   // Kernel tier the step dispatches to ("scalar" / "avx2"; "-" for steps
   // that do not run on the shift engine).
   std::string kernel_tier = "-";
-  // Planned arena scratch this step's kernels fetch (0 when the network
-  // runs on the dynamic arena or the step uses no arena scratch).
+  // Arena scratch this step's kernels fetch, summed over a residual's
+  // subtree (0 when the step uses none or the network has no memory plan).
   std::size_t planned_scratch_bytes = 0;
-  // Planned placement, "slot@offset+bytes" per extent ("-" when none), e.g.
-  // "off@0+1.1KiB acc@1.2K+4.0KiB".
-  std::string planned_layout = "-";
 };
 
 class QuantizedNetwork {
@@ -96,9 +93,9 @@ class QuantizedNetwork {
   [[nodiscard]] std::size_t step_count() const { return steps_.size(); }
 
   // The memory plan attached at from_program time, or nullptr when the
-  // network runs on the dynamic arena (FLIGHTNN_FORCE_DYNAMIC_ARENA or the
-  // planning override). Valid for the
-  // network's lifetime; BatchRunner's warm path adopts it per worker.
+  // planner's shape walk rejected the program (the network then runs
+  // unwarmed). Valid for the network's lifetime; BatchRunner's warm path
+  // applies it on every worker.
   [[nodiscard]] const MemoryPlan* memory_plan() const {
     return memory_plan_.get();
   }
@@ -122,8 +119,8 @@ class QuantizedNetwork {
 
  private:
   std::vector<std::unique_ptr<Step>> steps_;
-  // Shared so the steps' PlanContext pointers into the layout stay valid
-  // across moves of the network object.
+  // shared_ptr: its deleter is bound where the plan is built, so this
+  // header can hold the forward-declared type.
   std::shared_ptr<const MemoryPlan> memory_plan_;
   // Flat-op index range [begin, end) each top-level step was built from;
   // parallel to steps_. profile() joins this with MemoryPlan::per_op().

@@ -466,8 +466,7 @@ ShiftConv2d::ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
-    const QuantizedActivations& input, OpCounts* counts,
-    const runtime::PlanContext* ctx) const {
+    const QuantizedActivations& input, OpCounts* counts) const {
   FLIGHTNN_CHECK(input.shape.rank() == 3 && input.shape[0] == in_channels_,
                  "ShiftConv2d::run: expected [", in_channels_,
                  ", H, W] input, got ", input.shape.to_string());
@@ -485,10 +484,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   FLIGHTNN_CHECK(out_h > 0 && out_w > 0, "ShiftConv2d::run: input ",
                  input.shape.to_string(), " is smaller than the kernel");
 
-  // Lower the image into the K-pair patch panel (planned arena slot), then
-  // one GEMM per image with dequantize and bias fused into its store.
-  std::int16_t* patches = runtime::ScratchArena::current().i16p(
-      ctx, runtime::Scratch::kPatchPanel,
+  // Lower the image into the K-pair patch panel (per-thread arena slot),
+  // then one GEMM per image with dequantize and bias fused into its store.
+  std::int16_t* patches = runtime::ScratchArena::current().i16(
+      runtime::Scratch::kPatchPanel,
       static_cast<std::size_t>(core::im2col_pairs_scratch(geom)));
   core::im2col_pairs(input.values.data(), geom, patches);
   tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
@@ -543,8 +542,7 @@ ShiftLinear::ShiftLinear(ShiftLowering lowered, const ShiftLinearSpec& spec,
 }
 
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
-    const QuantizedActivations& input, OpCounts* counts,
-    const runtime::PlanContext* ctx) const {
+    const QuantizedActivations& input, OpCounts* counts) const {
   FLIGHTNN_CHECK(input.shape.numel() == in_features_,
                  "ShiftLinear::run: input numel ", input.shape.numel(),
                  " does not match in features ", in_features_);
@@ -558,8 +556,8 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
   // The input vector is a one-column patch panel: im2col of an
   // [in_features, 1, 1] image by a 1x1 kernel packs it in K-pairs.
   const tensor::ConvGeometry geom{in_features_, 1, 1, 1, 1, 0};
-  std::int16_t* x = runtime::ScratchArena::current().i16p(
-      ctx, runtime::Scratch::kPatchPanel,
+  std::int16_t* x = runtime::ScratchArena::current().i16(
+      runtime::Scratch::kPatchPanel,
       static_cast<std::size_t>(core::im2col_pairs_scratch(geom)));
   core::im2col_pairs(input.values.data(), geom, x);
   tensor::Tensor output(tensor::Shape{out_features_});

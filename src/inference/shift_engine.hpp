@@ -32,10 +32,6 @@
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
-namespace flightnn::runtime {
-struct PlanContext;  // runtime/memory_plan.hpp
-}  // namespace flightnn::runtime
-
 namespace flightnn::inference {
 
 // Activations quantized to signed integers with scale 2^scale_exp.
@@ -150,13 +146,10 @@ class ShiftConv2d {
   // into `counts` if non-null. |q| must fit int16 (any <= 16-bit
   // quantization does); larger values, or a plan whose accumulation could
   // leave int64, throw CheckFailure. Pruned filters cost no GEMM work, and
-  // the patch panel comes from the per-thread arena (zero steady-state
-  // allocation beyond the pooled output tensor). With a non-null `ctx` it is
-  // served from the planned arena at the offset the memory planner assigned
-  // offline (DESIGN.md §15); null keeps the dynamic grow-once route.
-  [[nodiscard]] tensor::Tensor run(
-      const QuantizedActivations& input, OpCounts* counts = nullptr,
-      const runtime::PlanContext* ctx = nullptr) const;
+  // the patch panel comes from the per-thread arena's grow-once slot (zero
+  // steady-state allocation beyond the pooled output tensor; DESIGN.md §15).
+  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
+                                   OpCounts* counts = nullptr) const;
 
   // Number of single-shift filter terms (the LightNN-1 engine's workload).
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
@@ -196,9 +189,8 @@ class ShiftLinear {
   // `input` must hold in_features values. Returns the dequantized float
   // output [out_features]: a dense integer dot of each panel row with the
   // packed input, same contract as ShiftConv2d::run.
-  [[nodiscard]] tensor::Tensor run(
-      const QuantizedActivations& input, OpCounts* counts = nullptr,
-      const runtime::PlanContext* ctx = nullptr) const;
+  [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
+                                   OpCounts* counts = nullptr) const;
 
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_features() const { return out_features_; }

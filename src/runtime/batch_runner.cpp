@@ -49,8 +49,8 @@ FLIGHTNN_COLD_ALLOC void BatchRunner::warm(std::size_t max_batch) const {
   counts_scratch().reserve(max_batch);
   const inference::MemoryPlan* plan = network_->memory_plan();
   if (plan != nullptr) {
-    // Every thread that can execute a forward pass gets the planned arena
-    // and a pool prewarmed to the network's activation working set: the
+    // Every thread that can execute a forward pass gets its arena slot
+    // reserved and a pool prewarmed to the activation working set: the
     // caller (which participates in its own parallel_for) and each pool
     // worker (for_each_worker's rendezvous guarantees all of them run it).
     plan->warm_thread();
@@ -98,7 +98,7 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY void BatchRunner::run(
                    "BatchRunner::run: images must be [C,H,W] or [1,C,H,W], "
                    "got ", image.shape().to_string());
   }
-  // First call pays the warmup (arena adoption + pool prewarm on every
+  // First call pays the warmup (arena slot reserve + pool prewarm on every
   // thread); after that the latch short-circuits.
   if (!warmed_.load(std::memory_order_relaxed)) {
     warm(request.images.size());

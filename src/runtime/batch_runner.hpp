@@ -50,15 +50,16 @@ class BatchRunner {
            std::vector<inference::NetworkOpCounts>* per_image_counts =
                nullptr) const;
 
-  // Pre-size every thread's planned arena and scratch pools to the
-  // network's memory plan so the FIRST batch already runs allocation-free
-  // (no grow-once warmup): adopts the plan's arena layout and prewarms the
+  // Pre-size every thread's scratch arena slot and pools to the network's
+  // memory plan so the FIRST batch already runs allocation-free (no
+  // grow-once warmup): reserves the plan's patch-panel peak and prewarms the
   // tensor pool on the calling thread and on every pool worker, and
   // reserves the caller's per-image counter scratch for `max_batch` images.
-  // No-op beyond the counter reserve when the network has no plan (dynamic
-  // arena route). Must be called from outside the pool (any non-worker
-  // thread); idempotent and cheap to repeat. run() warms lazily on first
-  // use, so calling this is an optimization, not a requirement.
+  // No-op beyond the counter reserve when the network has no plan (the
+  // slot then grows on first use). Must be called from outside the pool
+  // (any non-worker thread); idempotent and cheap to repeat. run() warms
+  // lazily on first use, so calling this is an optimization, not a
+  // requirement.
   void warm(std::size_t max_batch = 64) const;
 
   // Top-k classification accuracy over a dataset. A thin wrapper over the

@@ -1,5 +1,6 @@
 #include "support/env.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -22,7 +23,11 @@ std::optional<long long> env_int(const char* name) {
   errno = 0;
   char* end = nullptr;
   const long long value = std::strtoll(raw->c_str(), &end, 10);
-  if (errno != 0 || end == raw->c_str() || *end != '\0') {
+  // strtoll skips leading whitespace; reject it like trailing whitespace so
+  // the whole value must be the integer.
+  const bool leading_space =
+      std::isspace(static_cast<unsigned char>(raw->front())) != 0;
+  if (leading_space || errno != 0 || end == raw->c_str() || *end != '\0') {
     log_warn() << name << "='" << *raw
                << "' is not an integer; ignoring the variable";
     return std::nullopt;

@@ -14,8 +14,9 @@ namespace flightnn::support {
 // Raw lookup; nullopt when the variable is unset or empty.
 std::optional<std::string> env_string(const char* name);
 
-// Integer lookup. Returns nullopt when unset; logs a warning and returns
-// nullopt when the value is present but not a (fully consumed) integer.
+// Decimal integer lookup. Returns nullopt when unset or empty; logs a
+// warning and returns nullopt when the value is not exactly one in-range
+// decimal integer (no surrounding whitespace, no trailing bytes, no hex).
 std::optional<long long> env_int(const char* name);
 
 }  // namespace flightnn::support

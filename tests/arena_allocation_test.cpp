@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
@@ -199,12 +200,13 @@ TEST(ArenaAllocationTest, ArtifactMmapLoadedSteadyStateAllocatesNothing) {
   std::remove(path.c_str());
 }
 
-// Memory-planned route (DESIGN.md §15): after BatchRunner::warm() the very
-// FIRST batch must already be allocation-free -- the plan pre-sizes the
-// arena, the pooled activation working set, the quantization scratch and
+// Memory plan (DESIGN.md §15): after BatchRunner::warm() the very FIRST
+// batch must already be allocation-free -- the plan pre-sizes the arena
+// slot, the pooled activation working set, the quantization scratch and
 // the counter vectors offline, so there is no grow-once warmup left to pay.
 // The client-owned result storage is reserved by the client (that is its
-// cost, like the request tensors above).
+// cost, like the request tensors above). The arena slot must not grow
+// either: warm() reserved exactly what the kernels fetch.
 TEST(ArenaAllocationTest, PlannedWarmMakesFirstBatchAllocationFree) {
   runtime::set_num_threads(1);
   const auto network = make_network();
@@ -216,14 +218,16 @@ TEST(ArenaAllocationTest, PlannedWarmMakesFirstBatchAllocationFree) {
   runtime::InferenceResult result;
   result.logits.reserve(1);
   result.argmax.reserve(1);
+  // Earlier tests grew this thread's slots; start from nothing so the
+  // footprint below is what warm() reserved.
+  runtime::ScratchArena::current().trim();
   runner.warm(1);
 
-  runtime::ScratchArena::current().reset_plan_counters();
+  const std::size_t warmed = runtime::ScratchArena::current().footprint_bytes();
   const long long allocs = count_allocs_in_batch(runner, request, result);
   EXPECT_EQ(allocs, 0) << "first planned batch hit the heap " << allocs
                        << " times";
-  EXPECT_EQ(runtime::ScratchArena::current().plan_misses(), 0U);
-  EXPECT_GT(runtime::ScratchArena::current().planned_hits(), 0U);
+  EXPECT_EQ(runtime::ScratchArena::current().footprint_bytes(), warmed);
   EXPECT_EQ(result.logits.size(), 1U);
 
   // And it stays free, of course.
@@ -267,16 +271,76 @@ TEST(ArenaAllocationTest, PlannedWarmFirstBatchAllocationFreeFromArtifact) {
     runtime::InferenceResult result;
     result.logits.reserve(1);
     result.argmax.reserve(1);
+    runtime::ScratchArena::current().trim();  // see the test above
     runner.warm(1);
 
+    const std::size_t warmed =
+        runtime::ScratchArena::current().footprint_bytes();
     const long long allocs = count_allocs_in_batch(runner, request, result);
     EXPECT_EQ(allocs, 0) << "first artifact-backed planned batch hit the heap "
                          << allocs << " times";
+    EXPECT_EQ(runtime::ScratchArena::current().footprint_bytes(), warmed);
     for (int batch = 0; batch < 3; ++batch) {
       EXPECT_EQ(count_allocs_in_batch(runner, request, result), 0);
     }
   }
   std::remove(path.c_str());
+}
+
+// A fully convolutional net (ResNet-18 through GAP) fed inputs of a size
+// it was not compiled for: the plan is sized for the compiled geometry, so
+// a larger input grows the arena slot once, and the logits are
+// byte-identical to the same model compiled at that size. Batches at the
+// compiled geometry stay allocation-free after warm(), before and after
+// the slot has grown.
+TEST(ArenaAllocationTest, OffGeometryInputsMatchNativeCompiles) {
+  runtime::set_num_threads(1);
+  models::BuildOptions build;
+  build.classes = 10;
+  build.width_scale = 0.125F;
+  build.seed = 29;
+  auto model = models::build_network(models::table1_network(2), build);
+  core::install_lightnn(*model, 2);
+  const auto network =
+      inference::QuantizedNetwork::compile(*model, Shape{1, 3, 16, 16});
+  ASSERT_NE(network.memory_plan(), nullptr);
+  const runtime::BatchRunner runner(network);
+  runtime::InferenceResult result;
+  result.logits.reserve(1);
+  result.argmax.reserve(1);
+  runtime::ScratchArena::current().trim();
+  runner.warm(1);
+  const std::size_t warmed = runtime::ScratchArena::current().footprint_bytes();
+
+  const auto compiled_request = make_request(1, 9009);
+  EXPECT_EQ(count_allocs_in_batch(runner, compiled_request, result), 0)
+      << "first batch at the compiled geometry hit the heap";
+
+  support::Rng rng(4);
+  for (const std::int64_t side : {16, 24, 40}) {
+    const Tensor image = Tensor::randn(Shape{3, side, side}, rng);
+    runtime::InferenceRequest request;
+    request.images.push_back(image);
+    runner.run(request, result);
+    const auto native =
+        inference::QuantizedNetwork::compile(*model, Shape{1, 3, side, side});
+    const Tensor expected = native.run(image);
+    ASSERT_EQ(result.logits.size(), 1U);
+    ASSERT_EQ(result.logits[0].shape(), expected.shape()) << "side " << side;
+    EXPECT_EQ(std::memcmp(result.logits[0].data(), expected.data(),
+                          static_cast<std::size_t>(expected.numel()) *
+                              sizeof(float)),
+              0)
+        << "side " << side << ": logits differ from the native compile";
+  }
+  EXPECT_GT(runtime::ScratchArena::current().footprint_bytes(), warmed)
+      << "the 40x40 input should have grown the slot past the 16x16 plan";
+
+  for (int batch = 0; batch < 3; ++batch) {
+    EXPECT_EQ(count_allocs_in_batch(runner, compiled_request, result), 0)
+        << "compiled-geometry batch " << batch
+        << " hit the heap after off-geometry runs";
+  }
 }
 
 TEST(ArenaAllocationTest, MultiThreadSteadyStateConverges) {
