@@ -6,8 +6,9 @@
 //   checkpoint: build_network + install_lightnn + load_state (stream-parse
 //               of every tensor) + QuantizedNetwork::compile (requantize +
 //               shift-plan compilation from scratch)
-//   artifact:   ArtifactModel::load (mmap + O(#sections) validation; plan
-//               streams are zero-copy views into the mapping)
+//   artifact:   ArtifactModel::load (mmap + checksum + per-entry plan
+//               validation, plan streams copied out, mapping released) +
+//               panel packing in the adopting engines
 //
 // Both paths must produce byte-identical logits -- the bench memcmp-checks
 // them on a handful of images and exits nonzero on any mismatch, so a wrong

@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <vector>
@@ -250,7 +251,7 @@ int main(int argc, char** argv) {
   runtime::set_num_threads(parser.get_int("--threads"));
   std::printf("runtime threads: %d\n", runtime::num_threads());
 
-  // --- Artifact cold-start path: mmap, fix up, serve. No training. --------
+  // --- Artifact cold-start path: mmap, validate, serve. No training. -----
   if (const std::string load_path = parser.get("--load-artifact");
       !load_path.empty()) {
     try {
@@ -263,7 +264,8 @@ int main(int argc, char** argv) {
       std::printf(
           "loaded artifact %s: %zu bytes, input [%lld, %lld, %lld], "
           "%zu steps, cold start %.2f ms\n",
-          load_path.c_str(), artifact.size(),
+          load_path.c_str(),
+          static_cast<std::size_t>(std::filesystem::file_size(load_path)),
           static_cast<long long>(artifact.input_c()),
           static_cast<long long>(artifact.input_h()),
           static_cast<long long>(artifact.input_w()),

@@ -4,18 +4,18 @@
 // core::Decomposition -- the same structure parse_packed hands to the
 // compiler when a deployment pack is loaded -- with *no* validity
 // filtering: filters may be addressed out of range, signs may be arbitrary
-// bytes, exponents may fall outside the config window. compile_conv /
-// compile_linear must either accept the decomposition or reject it with a
-// typed CheckFailure; anything else (sanitizer finding, uncaught exception)
-// is a crash.
+// bytes, exponents may fall outside the config window. ShiftPlan::compile
+// must either accept the decomposition or reject it with a typed
+// CheckFailure; anything else (sanitizer finding, uncaught exception) is a
+// crash.
 //
 // On success the compiled plan's structural invariants are asserted:
 // filter_begin is a monotone prefix-sum table ending at entries(), and all
 // per-entry streams have equal length. Every accepted plan is then adopted
-// by a ShiftConv2d / ShiftLinear -- whose constructor packs it into the GEMM
-// weight panel -- and run on one tiny image: adoption and run must either
-// succeed or throw CheckFailure (element outside the layer, a multiplier
-// too wide for the accumulator, bad geometry).
+// by a ShiftConv2d and by a ShiftLinear -- whose constructors pack it into
+// the GEMM weight panel -- and run on one tiny image: adoption and run must
+// either succeed or throw CheckFailure (element outside the layer, a
+// multiplier too wide for the accumulator, bad geometry).
 
 #include <algorithm>
 #include <cstdint>
@@ -65,10 +65,9 @@ constexpr int kMaxFilters = 16;
 constexpr int kMaxTerms = 32;
 constexpr int kMaxElements = 64;
 
-void check_plan_invariants(const ShiftPlan& plan, bool spatial) {
+void check_plan_invariants(const ShiftPlan& plan) {
   const auto filters = static_cast<std::size_t>(plan.filters);
   if (plan.filter_begin.size() != filters + 1) std::terminate();
-  if (plan.filter_gain.size() != filters) std::terminate();
   if (plan.filter_begin.front() != 0) std::terminate();
   for (std::size_t f = 0; f < filters; ++f) {
     if (plan.filter_begin[f] > plan.filter_begin[f + 1]) std::terminate();
@@ -76,10 +75,6 @@ void check_plan_invariants(const ShiftPlan& plan, bool spatial) {
   const auto entries = static_cast<std::size_t>(plan.entries());
   if (plan.filter_begin.back() != plan.entries()) std::terminate();
   if (plan.shift.size() != entries || plan.sign.size() != entries) {
-    std::terminate();
-  }
-  if (spatial && (plan.channel.size() != entries ||
-                  plan.ky.size() != entries || plan.kx.size() != entries)) {
     std::terminate();
   }
 }
@@ -151,18 +146,20 @@ void fuzz_compile(const std::uint8_t* data, std::size_t size) {
     decomposition.terms.push_back(std::move(term));
   }
 
+  ShiftPlan plan;
   try {
-    ShiftPlan plan =
-        ShiftPlan::compile_conv(decomposition, config, in_channels, kernel);
-    check_plan_invariants(plan, /*spatial=*/true);
-    adopt_and_run_conv(std::move(plan), config, in_channels, kernel);
+    plan = ShiftPlan::compile(decomposition, config);
   } catch (const flightnn::support::CheckFailure&) {
-    // typed rejection: bad geometry, out-of-range filter/sign/shift,
-    // element outside the layer, accumulator overflow
+    return;  // typed rejection: out-of-range filter/sign/shift
+  }
+  check_plan_invariants(plan);
+  try {
+    adopt_and_run_conv(plan, config, in_channels, kernel);
+  } catch (const flightnn::support::CheckFailure&) {
+    // typed rejection: bad geometry, element outside the layer,
+    // accumulator overflow
   }
   try {
-    ShiftPlan plan = ShiftPlan::compile_linear(decomposition, config);
-    check_plan_invariants(plan, /*spatial=*/false);
     adopt_and_run_linear(std::move(plan), config,
                          std::max<std::int64_t>(
                              1, decomposition.elements_per_filter));

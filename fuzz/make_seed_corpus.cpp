@@ -344,15 +344,6 @@ void emit_artifact(const fs::path& dir) {
     std::memcpy(mutated.data() + begin.offset + 8, &hostile, sizeof(hostile));
     write_seed(dir, "artifact_bad_filter_begin", resealed(mutated));
   }
-  {
-    Bytes mutated = vgg;  // overflow gain disagreeing with the entries
-    const SectionDesc gain = find_kind(mutated, SectionKind::kPlanFilterGain);
-    std::int64_t value = 0;
-    std::memcpy(&value, mutated.data() + gain.offset, sizeof(value));
-    value += 1;
-    std::memcpy(mutated.data() + gain.offset, &value, sizeof(value));
-    write_seed(dir, "artifact_bad_gain", resealed(mutated));
-  }
 
   write_seed(dir, "empty", {});
   write_seed(dir, "random_512", pseudo_random(512, 0xA97FAC7U));

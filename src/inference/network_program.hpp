@@ -10,8 +10,10 @@
 //
 // The IR exists so the deployment artifact (serialize/artifact.hpp) has a
 // stable, pointer-free description to serialize: every field is a scalar,
-// a tensor, or a plan stream, so an op can be laid out into a flat blob
-// and reconstituted without re-deriving anything from the float model.
+// a tensor, or one of a plan's four owned streams, so an op can be laid
+// out into a flat blob and reconstituted without re-deriving anything from
+// the float model. A program owns all its data; one parsed from an
+// artifact does not reference the artifact's bytes.
 // QuantizedNetwork::from_program() turns a program back into steps. A shift
 // op's ShiftPlan is its only form: compile_program lowers the quantized
 // weights once (lower_shift_weights) and drops them, so in-memory compiles

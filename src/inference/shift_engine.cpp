@@ -80,35 +80,27 @@ void check_accumulator_range(std::int64_t amax, std::int64_t max_gain,
 }
 
 // Structural invariants shared by the plan-adopting constructors: stream
-// sizes consistent, filter_begin a monotone prefix over `filters`. Lowering
-// and the artifact loader have already validated every entry in depth
-// (bounds, sign, shift range, recomputed gains); this re-checks only what is
-// cheap, so a corrupted adoption still fails fast instead of indexing wild.
+// sizes consistent, filter_begin a monotone prefix from 0 to entries(), so
+// every entry lies in exactly one filter's range. build_panel validates each
+// entry it walks (bounds, sign, shift range); this re-checks only what is
+// O(filters), so a corrupted adoption fails fast instead of indexing wild.
 void check_adopted_plan(const ShiftPlan& plan, std::int64_t filters,
-                        bool conv, const char* what) {
+                        const char* what) {
   FLIGHTNN_CHECK(plan.filters == filters, what, ": plan covers ", plan.filters,
                  " filters, spec says ", filters);
   FLIGHTNN_CHECK(static_cast<std::int64_t>(plan.filter_begin.size()) ==
                      filters + 1,
                  what, ": filter_begin has ", plan.filter_begin.size(),
                  " entries, expected ", filters + 1);
-  FLIGHTNN_CHECK(plan.filter_begin.front() == 0 &&
-                     plan.filter_begin.back() == plan.entries(),
-                 what, ": filter_begin does not span the entry stream");
-  FLIGHTNN_CHECK(static_cast<std::int64_t>(plan.filter_gain.size()) == filters,
-                 what, ": filter_gain has ", plan.filter_gain.size(),
-                 " entries, expected ", filters);
   const auto entries = static_cast<std::size_t>(plan.entries());
   FLIGHTNN_CHECK(plan.shift.size() == entries && plan.sign.size() == entries,
                  what, ": shift/sign streams do not match the entry count");
-  if (conv) {
-    FLIGHTNN_CHECK(plan.channel.size() == entries &&
-                       plan.ky.size() == entries && plan.kx.size() == entries,
-                   what, ": conv plan needs channel/ky/kx streams of ",
-                   entries, " entries");
-  } else {
-    FLIGHTNN_CHECK(plan.channel.empty() && plan.ky.empty() && plan.kx.empty(),
-                   what, ": linear plan must not carry spatial streams");
+  FLIGHTNN_CHECK(plan.filter_begin.front() == 0 &&
+                     plan.filter_begin.back() == plan.entries(),
+                 what, ": filter_begin does not span the entry stream");
+  for (std::size_t f = 1; f < plan.filter_begin.size(); ++f) {
+    FLIGHTNN_CHECK(plan.filter_begin[f - 1] <= plan.filter_begin[f], what,
+                   ": filter_begin not monotone at filter ", f);
   }
 }
 
@@ -161,10 +153,10 @@ bool narrow_bound_ok(std::int64_t max_gain, std::int64_t amax) {
 
 // Pack a structurally checked plan into its GEMM weight panel (see
 // ShiftPanel). Two passes over each live filter's entries -- one to find the
-// widest summed weight, one to write the panel -- so the only allocation is
-// the panel itself plus one depth-long row. Entries are validated here, not
-// trusted: a hostile plan gets a CheckFailure, never a wild index or an
-// overflowing shift.
+// widest summed weight and the worst-case gain, one to write the panel -- so
+// the only allocation is the panel itself plus one depth-long row. Entries
+// are validated here, not trusted: a hostile plan gets a CheckFailure, never
+// a wild index or an overflowing shift.
 FLIGHTNN_COLD_ALLOC ShiftPanel build_panel(const ShiftPlan& plan,
                                            std::int64_t depth,
                                            const char* what) {
@@ -174,14 +166,16 @@ FLIGHTNN_COLD_ALLOC ShiftPanel build_panel(const ShiftPlan& plan,
     const auto fi = static_cast<std::size_t>(f);
     const bool pruned = plan.filter_begin[fi] == plan.filter_begin[fi + 1];
     (pruned ? panel.pruned : panel.rows).push_back(static_cast<std::int32_t>(f));
-    panel.max_gain = std::max(panel.max_gain, plan.filter_gain[fi]);
   }
   // Summed weights of one filter, saturated at the accumulator guard: a
   // saturated weight implies a saturated gain, which run() rejects before
-  // any arithmetic.
+  // any arithmetic. Returns the filter's gain, sum of 2^shift over its
+  // entries with the same saturation: |accumulator| <= max|q| * gain bounds
+  // every partial sum of the row.
   std::vector<std::int64_t> row(static_cast<std::size_t>(depth));
   const auto sum_row = [&](std::int32_t f) {
     std::fill(row.begin(), row.end(), std::int64_t{0});
+    std::int64_t gain = 0;
     const auto fi = static_cast<std::size_t>(f);
     for (std::int64_t e = plan.filter_begin[fi]; e < plan.filter_begin[fi + 1];
          ++e) {
@@ -194,14 +188,16 @@ FLIGHTNN_COLD_ALLOC ShiftPanel build_panel(const ShiftPlan& plan,
       FLIGHTNN_CHECK(shift >= 0 && shift < 62 && (sign == 1 || sign == -1),
                      what, ": entry ", e, " has shift ", shift, " / sign ",
                      sign);
+      const std::int64_t step = std::int64_t{1} << shift;
       std::int64_t& w = row[static_cast<std::size_t>(element)];
-      w = std::clamp(w + sign * (std::int64_t{1} << shift), -kAccumulatorGuard,
-                     kAccumulatorGuard);
+      w = std::clamp(w + sign * step, -kAccumulatorGuard, kAccumulatorGuard);
+      gain = gain > kAccumulatorGuard - step ? kAccumulatorGuard : gain + step;
     }
+    return gain;
   };
   std::int64_t widest = 0;
   for (const std::int32_t f : panel.rows) {
-    sum_row(f);
+    panel.max_gain = std::max(panel.max_gain, sum_row(f));
     for (const std::int64_t w : row) widest = std::max(widest, std::abs(w));
   }
   const auto live = static_cast<std::int64_t>(panel.rows.size());
@@ -416,9 +412,7 @@ ShiftLowering lower_shift_weights(const tensor::Tensor& quantized_weights,
                          conv ? s[1] * s[2] * s[3] : s[1], config,
                          "lower_shift_weights");
   ShiftLowering lowered;
-  lowered.plan = conv ? ShiftPlan::compile_conv(decomposition, config, s[1],
-                                                s[2])
-                      : ShiftPlan::compile_linear(decomposition, config);
+  lowered.plan = ShiftPlan::compile(decomposition, config);
   lowered.term_count = decomposition.term_count();
   return lowered;
 }
@@ -448,20 +442,17 @@ ShiftConv2d::ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
   FLIGHTNN_CHECK(bias_.empty() || bias_.numel() == out_channels_,
                  "ShiftConv2d: bias size ", bias_.numel(),
                  " does not match out channels ", out_channels_);
-  // const reads: the streams may be zero-copy views into an artifact
-  // mapping. Only the GEMM panel and the per-tap entry census outlive
-  // construction; the plan itself is not kept.
+  // Only the GEMM panel and the per-tap entry census outlive construction;
+  // the plan itself is not kept. build_panel has bounds-checked every entry
+  // (the adopted prefix covers them all), so the tap of element c*K*K + t
+  // is element % (K*K).
   const ShiftPlan& plan = lowered.plan;
-  check_adopted_plan(plan, out_channels_, /*conv=*/true, "ShiftConv2d");
+  check_adopted_plan(plan, out_channels_, "ShiftConv2d");
   panel_ = build_panel(plan, in_channels_ * kernel_ * kernel_, "ShiftConv2d");
-  tap_entries_.assign(static_cast<std::size_t>(kernel_ * kernel_), 0);
-  for (std::int64_t e = 0; e < plan.entries(); ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    const std::int64_t ky = plan.ky[ei], kx = plan.kx[ei];
-    FLIGHTNN_CHECK(ky >= 0 && ky < kernel_ && kx >= 0 && kx < kernel_,
-                   "ShiftConv2d: entry ", e, " tap (", ky, ", ", kx,
-                   ") outside the ", kernel_, "x", kernel_, " kernel");
-    ++tap_entries_[static_cast<std::size_t>(ky * kernel_ + kx)];
+  const std::int64_t taps = kernel_ * kernel_;
+  tap_entries_.assign(static_cast<std::size_t>(taps), 0);
+  for (const std::int32_t element : plan.element) {
+    ++tap_entries_[static_cast<std::size_t>(element % taps)];
   }
 }
 
@@ -537,7 +528,7 @@ ShiftLinear::ShiftLinear(ShiftLowering lowered, const ShiftLinearSpec& spec,
                  "ShiftLinear: bias size ", bias_.numel(),
                  " does not match out features ", out_features_);
   const ShiftPlan& plan = lowered.plan;
-  check_adopted_plan(plan, out_features_, /*conv=*/false, "ShiftLinear");
+  check_adopted_plan(plan, out_features_, "ShiftLinear");
   panel_ = build_panel(plan, in_features_, "ShiftLinear");
 }
 

@@ -96,14 +96,16 @@ ShiftLowering lower_shift_weights(const tensor::Tensor& quantized_weights,
 
 // A plan packed for core::int_gemm: the summed weights of every live
 // (unpruned) filter as one panel row, in int16 when every weight fits and in
-// int64 otherwise. Built once at engine construction from the plan's core
-// streams (zero-copy views for an artifact-adopted plan); the engine keeps
-// the panel, not the plan.
+// int64 otherwise. Built once at engine construction from the plan's
+// streams; the engine keeps the panel, not the plan.
 struct ShiftPanel {
   std::vector<std::int32_t> rows;    // GEMM row -> filter
   std::vector<std::int32_t> pruned;  // filters with no terms (no GEMM row)
   std::int64_t pairs = 0;  // core::int_gemm_pairs(weight elements per filter)
-  std::int64_t max_gain = 0;         // largest plan filter_gain
+  // Largest filter gain: sum of 2^shift over a filter's entries, saturated
+  // at kShiftAccumulatorGuard; 0 when every filter is pruned. max|q| *
+  // max_gain bounds every partial sum of every row.
+  std::int64_t max_gain = 0;
   std::vector<std::int16_t> w16;     // packed panel, narrow weights
   std::vector<std::int64_t> w64;     // packed panel, wide weights
 };
@@ -133,11 +135,10 @@ class ShiftConv2d {
               const quant::Pow2Config& config, std::int64_t stride,
               std::int64_t padding, tensor::Tensor bias = {});
 
-  // Adopt an already-lowered layer (compiled program or deployment artifact:
-  // the plan's streams may be zero-copy views into a mapped blob). The caller
-  // vouches for the plan's per-entry validity (lowering and the artifact
-  // loader both validate every entry); this constructor re-checks the cheap
-  // structural invariants.
+  // Adopt an already-lowered layer (compiled program or deployment artifact).
+  // The plan's structure is re-checked (stream sizes, a monotone filter
+  // prefix spanning the entries) and every entry is bounds-checked while the
+  // panel is packed, so a malformed plan throws CheckFailure.
   ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
@@ -195,6 +196,7 @@ class ShiftLinear {
   [[nodiscard]] std::int64_t term_count() const { return term_count_; }
   [[nodiscard]] std::int64_t out_features() const { return out_features_; }
   [[nodiscard]] std::int64_t in_features() const { return in_features_; }
+  [[nodiscard]] const ShiftPanel& panel() const { return panel_; }
   // Kernel-tier name: always "scalar", the tier a one-column GEMM runs on.
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 

@@ -1,6 +1,5 @@
 #include "inference/shift_plan.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "support/annotations.hpp"
@@ -8,13 +7,12 @@
 
 namespace flightnn::inference {
 
-namespace {
-
-// Shared lowering: group terms by filter, stream out only nonzero elements.
-// `spatial` toggles the conv-only channel/ky/kx streams.
-ShiftPlan compile_impl(const core::Decomposition& decomposition,
-                       const quant::Pow2Config& config, std::int64_t in_channels,
-                       std::int64_t kernel, bool spatial) {
+// Group terms by filter, stream out only nonzero elements.
+FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile(
+    const core::Decomposition& decomposition, const quant::Pow2Config& config) {
+  FLIGHTNN_CHECK(decomposition.elements_per_filter >= 0,
+                 "ShiftPlan::compile: negative elements per filter ",
+                 decomposition.elements_per_filter);
   const auto filters = static_cast<std::int64_t>(decomposition.filter_k.size());
 
   ShiftPlan plan;
@@ -37,11 +35,9 @@ ShiftPlan compile_impl(const core::Decomposition& decomposition,
   }
 
   plan.filter_begin.reserve(static_cast<std::size_t>(filters) + 1);
-  plan.filter_gain.assign(static_cast<std::size_t>(filters), 0);
   plan.filter_begin.push_back(0);
 
   for (std::int64_t f = 0; f < filters; ++f) {
-    std::int64_t gain = 0;
     for (const std::size_t t : terms_by_filter[static_cast<std::size_t>(f)]) {
       const auto& term = decomposition.terms[t];
       for (std::size_t e = 0; e < term.elements.size(); ++e) {
@@ -57,45 +53,14 @@ ShiftPlan compile_impl(const core::Decomposition& decomposition,
                            std::numeric_limits<std::int32_t>::max(),
                        "ShiftPlan: element index ", e, " overflows int32");
         plan.element.push_back(static_cast<std::int32_t>(e));
-        if (spatial) {
-          const auto ei = static_cast<std::int64_t>(e);
-          const std::int64_t kk = kernel * kernel;
-          plan.channel.push_back(static_cast<std::int32_t>(ei / kk));
-          plan.ky.push_back(static_cast<std::int16_t>((ei % kk) / kernel));
-          plan.kx.push_back(static_cast<std::int16_t>(ei % kernel));
-        }
         plan.shift.push_back(static_cast<std::int8_t>(shift));
         plan.sign.push_back(w.sign);
-        const std::int64_t g = std::int64_t{1} << shift;
-        gain = gain > kShiftAccumulatorGuard - g ? kShiftAccumulatorGuard
-                                                 : gain + g;
       }
     }
-    plan.filter_gain[static_cast<std::size_t>(f)] = gain;
     plan.filter_begin.push_back(plan.entries());
   }
 
   return plan;
-}
-
-}  // namespace
-
-FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_conv(
-    const core::Decomposition& decomposition, const quant::Pow2Config& config,
-    std::int64_t in_channels, std::int64_t kernel) {
-  FLIGHTNN_CHECK(in_channels > 0 && kernel > 0,
-                 "ShiftPlan::compile_conv: bad conv geometry ", in_channels,
-                 "x", kernel);
-  return compile_impl(decomposition, config, in_channels, kernel,
-                      /*spatial=*/true);
-}
-
-FLIGHTNN_API_ENTRY ShiftPlan ShiftPlan::compile_linear(
-    const core::Decomposition& decomposition, const quant::Pow2Config& config) {
-  FLIGHTNN_CHECK(decomposition.elements_per_filter >= 0,
-                 "ShiftPlan::compile_linear: negative elements per filter ",
-                 decomposition.elements_per_filter);
-  return compile_impl(decomposition, config, 0, 0, /*spatial=*/false);
 }
 
 }  // namespace flightnn::inference

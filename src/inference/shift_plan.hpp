@@ -11,11 +11,14 @@
 // (lower_shift_weights in inference/shift_engine.hpp), into a flat
 // structure-of-arrays: one contiguous stream of (element, shift, sign)
 // entries per filter, with every zero element and every pruned filter elided.
-// The plan is the layer's stored form (artifacts serialize it) and the
-// source of the analytic shift/add census the hardware models read, which is
-// exactly proportional to Σ_i k_i · nnz_i. The engines pack it once into a
-// dense integer weight panel (ShiftPanel) and run that as a GEMM; pruned
-// filters never become GEMM rows (DESIGN.md §14).
+// The plan is the layer's stored form (artifacts serialize its four streams
+// verbatim, 6 bytes per entry plus the filter prefix) and the source of the
+// analytic shift/add census the hardware models read, which is exactly
+// proportional to Σ_i k_i · nnz_i. The engines pack it once into a dense
+// integer weight panel (ShiftPanel) and run that as a GEMM; pruned filters
+// never become GEMM rows (DESIGN.md §14). Anything the streams imply -- an
+// entry's kernel tap, a filter's worst-case accumulator gain -- is derived
+// by the engines at construction, never stored.
 //
 // Entry order is: filters ascending; within a filter, terms in decomposition
 // order; within a term, elements in index order. The order is stable and
@@ -24,155 +27,39 @@
 // order, and exact integer accumulation is associative and commutative, so
 // any regrouping produces bit-identical results (DESIGN.md §9).
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/decompose.hpp"
 #include "quant/pow2.hpp"
-#include "support/check.hpp"
 
 namespace flightnn::inference {
 
-// Own-or-view array for the plan's SoA streams. A plan built by
-// compile_conv/compile_linear owns its storage (push_back during lowering);
-// a plan fixed up from a mapped deployment artifact *views* the blob's
-// sections directly -- zero copies, the mapping is the storage. The read API
-// (data/size/operator[]/iteration) is identical in both modes, so the
-// kernels never know the difference; mutation is owning-mode only.
-template <typename T>
-class PlanArray {
- public:
-  PlanArray() = default;
-
-  // A non-owning window into `count` elements at `data`. The caller
-  // guarantees the backing memory (e.g. an artifact mapping) outlives the
-  // plan; alignment must satisfy alignof(T).
-  static PlanArray view(const T* data, std::size_t count) {
-    PlanArray array;
-    array.viewing_ = true;
-    array.data_ = data;
-    array.size_ = count;
-    return array;
-  }
-
-  // Copies rebind data_ to the copy's own storage; a copied view stays a
-  // view of the same memory.
-  PlanArray(const PlanArray& other) { *this = other; }
-  PlanArray& operator=(const PlanArray& other) {
-    if (this == &other) return *this;
-    viewing_ = other.viewing_;
-    own_ = other.own_;
-    if (viewing_) {
-      data_ = other.data_;
-      size_ = other.size_;
-    } else {
-      rebind();
-    }
-    return *this;
-  }
-  PlanArray(PlanArray&& other) noexcept { *this = std::move(other); }
-  PlanArray& operator=(PlanArray&& other) noexcept {
-    if (this == &other) return *this;
-    viewing_ = other.viewing_;
-    own_ = std::move(other.own_);
-    if (viewing_) {
-      data_ = other.data_;
-      size_ = other.size_;
-    } else {
-      rebind();
-    }
-    other.viewing_ = false;
-    other.own_.clear();
-    other.rebind();
-    return *this;
-  }
-
-  [[nodiscard]] const T* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] bool is_view() const { return viewing_; }
-
-  const T& operator[](std::size_t i) const { return data_[i]; }
-  [[nodiscard]] const T& front() const { return data_[0]; }
-  [[nodiscard]] const T& back() const { return data_[size_ - 1]; }
-  [[nodiscard]] const T* begin() const { return data_; }
-  [[nodiscard]] const T* end() const { return data_ + size_; }
-
-  // --- owning-mode mutation (compile-time lowering only) -------------------
-  T& operator[](std::size_t i) {
-    FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
-    return own_[i];
-  }
-  void push_back(T value) {
-    FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
-    own_.push_back(value);
-    rebind();
-  }
-  void reserve(std::size_t count) {
-    FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
-    own_.reserve(count);
-  }
-  void assign(std::size_t count, T value) {
-    FLIGHTNN_DCHECK(!viewing_, "PlanArray: mutation of a view");
-    own_.assign(count, value);
-    rebind();
-  }
-
- private:
-  void rebind() {
-    data_ = own_.data();
-    size_ = own_.size();
-  }
-
-  bool viewing_ = false;
-  const T* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::vector<T> own_;  // empty in view mode
-};
-
 struct ShiftPlan {
-  // --- SoA entry streams, indexed [filter_begin[f], filter_begin[f+1]) ------
-  // Flat weight-element index of the entry: for conv, c*K*K + ky*K + kx into
-  // the OIHW filter; for linear, the input-feature index.
-  PlanArray<std::int32_t> element;
-  // Conv-only spatial split of `element` (ky/kx drive the analytic op
-  // counts). Empty for linear plans.
-  PlanArray<std::int32_t> channel;
-  PlanArray<std::int16_t> ky;
-  PlanArray<std::int16_t> kx;
+  // --- Entry streams, indexed [filter_begin[f], filter_begin[f+1]) ---------
+  // Flat weight-element index of the entry: c*K*K + ky*K + kx into the OIHW
+  // filter for a conv, the input-feature index for a linear layer.
+  std::vector<std::int32_t> element;
   // Barrel-shifter amount (exponent - e_min, always >= 0) and sign (+1/-1;
   // zero-sign elements never make it into a plan).
-  PlanArray<std::int8_t> shift;
-  PlanArray<std::int8_t> sign;
+  std::vector<std::int8_t> shift;
+  std::vector<std::int8_t> sign;
 
   // Prefix array over filters: filter f's entries are
   // [filter_begin[f], filter_begin[f+1]); size filters + 1. A pruned filter
   // has an empty range and costs nothing at run time.
-  PlanArray<std::int64_t> filter_begin;
-
-  // Per-filter worst-case accumulator gain: sum of 2^shift over the filter's
-  // entries, saturated at the accumulator guard. |accumulator| <= max|q| *
-  // filter_gain[f] bounds every intermediate partial sum, enabling one
-  // overflow check per filter instead of per accumulate.
-  PlanArray<std::int64_t> filter_gain;
+  std::vector<std::int64_t> filter_begin;
 
   std::int64_t filters = 0;
 
   [[nodiscard]] std::int64_t entries() const {
     return static_cast<std::int64_t>(element.size());
   }
-  [[nodiscard]] bool is_conv() const { return !channel.empty() || element.empty(); }
 
-  // Lower a conv decomposition (OIHW weights [filters, in_channels, K, K]).
-  static ShiftPlan compile_conv(const core::Decomposition& decomposition,
-                                const quant::Pow2Config& config,
-                                std::int64_t in_channels, std::int64_t kernel);
-
-  // Lower a linear decomposition (weights [filters, in_features]).
-  static ShiftPlan compile_linear(const core::Decomposition& decomposition,
-                                  const quant::Pow2Config& config);
+  // Lower a decomposition (conv OIHW or linear [out, in] weights; the entry
+  // streams are the same for both).
+  static ShiftPlan compile(const core::Decomposition& decomposition,
+                           const quant::Pow2Config& config);
 };
 
 // Saturation ceiling shared with the engine's overflow contract.

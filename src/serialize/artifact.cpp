@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <cstring>
 #include <fstream>
-#include <new>
+#include <memory>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -26,7 +26,6 @@ namespace flightnn::serialize {
 namespace {
 
 using inference::NetworkProgram;
-using inference::PlanArray;
 using inference::ProgramOp;
 using inference::ProgramOpKind;
 using inference::ShiftPlan;
@@ -59,7 +58,7 @@ struct PendingSection {
 // Register `op`'s payload arrays as sections and point its record at them.
 // Role order here IS the serialized section order per op -- part of the
 // format's determinism contract.
-void plan_sections(const ProgramOp& op, std::uint32_t op_index, bool conv,
+void plan_sections(const ProgramOp& op, std::uint32_t op_index,
                    OpRecord& record, std::vector<PendingSection>& sections) {
   const auto add = [&](int role, SectionKind kind, const void* data,
                        std::size_t bytes) {
@@ -70,20 +69,10 @@ void plan_sections(const ProgramOp& op, std::uint32_t op_index, bool conv,
   const auto n = static_cast<std::size_t>(plan.entries());
   add(kRoleElement, SectionKind::kPlanElement, plan.element.data(),
       n * sizeof(std::int32_t));
-  if (conv) {
-    add(kRoleChannel, SectionKind::kPlanChannel, plan.channel.data(),
-        n * sizeof(std::int32_t));
-    add(kRoleKy, SectionKind::kPlanKy, plan.ky.data(),
-        n * sizeof(std::int16_t));
-    add(kRoleKx, SectionKind::kPlanKx, plan.kx.data(),
-        n * sizeof(std::int16_t));
-  }
   add(kRoleShift, SectionKind::kPlanShift, plan.shift.data(), n);
   add(kRoleSign, SectionKind::kPlanSign, plan.sign.data(), n);
   add(kRoleFilterBegin, SectionKind::kPlanFilterBegin, plan.filter_begin.data(),
       plan.filter_begin.size() * sizeof(std::int64_t));
-  add(kRoleFilterGain, SectionKind::kPlanFilterGain, plan.filter_gain.data(),
-      plan.filter_gain.size() * sizeof(std::int64_t));
 }
 
 OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
@@ -119,10 +108,7 @@ OpRecord encode_op(const ProgramOp& op, std::uint32_t op_index,
                         op.kind == ProgramOpKind::kShiftLinear;
   const bool float_op = op.kind == ProgramOpKind::kFloatConv ||
                         op.kind == ProgramOpKind::kFloatLinear;
-  if (shift_op) {
-    plan_sections(op, op_index, op.kind == ProgramOpKind::kShiftConv, record,
-                  sections);
-  }
+  if (shift_op) plan_sections(op, op_index, record, sections);
   if (float_op) {
     const auto& shape = op.weights.shape();
     record.weight_rank = static_cast<std::uint32_t>(shape.rank());
@@ -204,14 +190,20 @@ void check_geom(std::int64_t value, std::int64_t lo, std::uint32_t op_index,
   }
 }
 
-// Deep per-entry plan validation. The hot kernels index these streams
-// unchecked, so everything they trust is proven here: entry bounds, sign
-// and shift domains, the filter prefix, and the overflow gains (recomputed
-// with the same guard saturation the compiler uses). Only the core streams
-// live in the artifact (format v1, unchanged): the engines' integer GEMM
-// panels (DESIGN.md §14) are packed from these validated views by the
-// plan-adopting engine constructors -- an in-loader repack, so mapped
-// plans stay zero-copy and still reach the avx2 GEMM tier.
+// Copy a section's payload out as `count` values of T. memcpy, not a
+// typed read, so the blob's own alignment does not matter.
+template <typename T>
+std::vector<T> copy_stream(const SectionView& view, std::size_t count) {
+  std::vector<T> out(count);
+  if (count > 0) std::memcpy(out.data(), view.data, count * sizeof(T));
+  return out;
+}
+
+// Deep per-entry plan validation: entry bounds, sign and shift domains and
+// the filter prefix, checked on the plan's own copies of the four streams.
+// The engines derive everything else (kernel taps, overflow gains) from
+// these and pack their integer GEMM panels (DESIGN.md §14) from them at
+// adoption.
 ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
                         std::uint32_t section_count, const OpRecord& record,
                         std::uint32_t op_index, bool conv) {
@@ -227,9 +219,8 @@ ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
          "op " + std::to_string(op_index) + " plan entry count " +
              std::to_string(entries) + " exceeds the 2^31 cap");
   }
-  const auto expect_entries = [&](const SectionView& view,
-                                  std::size_t elem_bytes, const char* what) {
-    if (section_count_of(view, elem_bytes, op_index, what) != entries) {
+  const auto expect_entries = [&](const SectionView& view, const char* what) {
+    if (section_count_of(view, 1, op_index, what) != entries) {
       fail(ArtifactErrorCode::kBadProgram,
            "op " + std::to_string(op_index) + " " + what +
                " stream does not match the entry count");
@@ -237,55 +228,17 @@ ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
   };
   const SectionView shift_view = resolve(kRoleShift, SectionKind::kPlanShift);
   const SectionView sign_view = resolve(kRoleSign, SectionKind::kPlanSign);
-  expect_entries(shift_view, 1, "shift");
-  expect_entries(sign_view, 1, "sign");
+  expect_entries(shift_view, "shift");
+  expect_entries(sign_view, "sign");
 
   const std::int64_t filters = record.out_channels;
   const SectionView begin_view =
       resolve(kRoleFilterBegin, SectionKind::kPlanFilterBegin);
-  const SectionView gain_view =
-      resolve(kRoleFilterGain, SectionKind::kPlanFilterGain);
   if (section_count_of(begin_view, sizeof(std::int64_t), op_index,
                        "filter_begin") != static_cast<std::size_t>(filters) + 1) {
     fail(ArtifactErrorCode::kBadProgram,
          "op " + std::to_string(op_index) + " filter_begin does not cover " +
              std::to_string(filters) + " filters");
-  }
-  if (section_count_of(gain_view, sizeof(std::int64_t), op_index,
-                       "filter_gain") != static_cast<std::size_t>(filters)) {
-    fail(ArtifactErrorCode::kBadProgram,
-         "op " + std::to_string(op_index) + " filter_gain does not cover " +
-             std::to_string(filters) + " filters");
-  }
-
-  ShiftPlan plan;
-  plan.filters = filters;
-  plan.element = PlanArray<std::int32_t>::view(
-      reinterpret_cast<const std::int32_t*>(element_view.data), entries);
-  plan.shift = PlanArray<std::int8_t>::view(
-      reinterpret_cast<const std::int8_t*>(shift_view.data), entries);
-  plan.sign = PlanArray<std::int8_t>::view(
-      reinterpret_cast<const std::int8_t*>(sign_view.data), entries);
-  plan.filter_begin = PlanArray<std::int64_t>::view(
-      reinterpret_cast<const std::int64_t*>(begin_view.data),
-      static_cast<std::size_t>(filters) + 1);
-  plan.filter_gain = PlanArray<std::int64_t>::view(
-      reinterpret_cast<const std::int64_t*>(gain_view.data),
-      static_cast<std::size_t>(filters));
-  if (conv) {
-    const SectionView channel_view =
-        resolve(kRoleChannel, SectionKind::kPlanChannel);
-    const SectionView ky_view = resolve(kRoleKy, SectionKind::kPlanKy);
-    const SectionView kx_view = resolve(kRoleKx, SectionKind::kPlanKx);
-    expect_entries(channel_view, sizeof(std::int32_t), "channel");
-    expect_entries(ky_view, sizeof(std::int16_t), "ky");
-    expect_entries(kx_view, sizeof(std::int16_t), "kx");
-    plan.channel = PlanArray<std::int32_t>::view(
-        reinterpret_cast<const std::int32_t*>(channel_view.data), entries);
-    plan.ky = PlanArray<std::int16_t>::view(
-        reinterpret_cast<const std::int16_t*>(ky_view.data), entries);
-    plan.kx = PlanArray<std::int16_t>::view(
-        reinterpret_cast<const std::int16_t*>(kx_view.data), entries);
   }
 
   // Shift budget: exponents live in [e_min, e_max], so shifts live in
@@ -297,77 +250,74 @@ ShiftPlan validate_plan(const std::uint8_t* base, const SectionDesc* sections,
              std::to_string(record.e_min) + ", " + std::to_string(record.e_max) +
              "] outside the barrel shifter budget");
   }
-  // Read the streams through a const alias: the plan's arrays are views,
-  // and only PlanArray's const accessors read through a view.
-  const ShiftPlan& streams = plan;
+
+  ShiftPlan plan;
+  plan.filters = filters;
+  plan.element = copy_stream<std::int32_t>(element_view, entries);
+  plan.shift = copy_stream<std::int8_t>(shift_view, entries);
+  plan.sign = copy_stream<std::int8_t>(sign_view, entries);
+  plan.filter_begin = copy_stream<std::int64_t>(
+      begin_view, static_cast<std::size_t>(filters) + 1);
+
   // filter_begin: a monotone prefix spanning exactly the entry stream.
-  if (streams.filter_begin.front() != 0 ||
-      streams.filter_begin.back() != static_cast<std::int64_t>(entries)) {
+  if (plan.filter_begin.front() != 0 ||
+      plan.filter_begin.back() != static_cast<std::int64_t>(entries)) {
     fail(ArtifactErrorCode::kBadProgram,
          "op " + std::to_string(op_index) +
              " filter_begin does not span the entry stream");
   }
   for (std::size_t f = 1; f < plan.filter_begin.size(); ++f) {
-    if (streams.filter_begin[f - 1] > streams.filter_begin[f]) {
+    if (plan.filter_begin[f - 1] > plan.filter_begin[f]) {
       fail(ArtifactErrorCode::kBadProgram,
            "op " + std::to_string(op_index) + " filter_begin not monotone at " +
                std::to_string(f));
     }
   }
-  // Per-entry domains + recomputed per-filter gains.
-  const std::int64_t kernel = record.kernel;
-  const std::int64_t in_span = conv ? record.in_channels * kernel * kernel
-                                    : record.in_channels;
-  for (std::int64_t f = 0; f < filters; ++f) {
-    const std::int64_t fb = streams.filter_begin[static_cast<std::size_t>(f)];
-    const std::int64_t fe = streams.filter_begin[static_cast<std::size_t>(f) + 1];
-    std::int64_t gain = 0;
-    for (std::int64_t e = fb; e < fe; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const int sign = streams.sign[ei];
-      const int shift = streams.shift[ei];
-      if (sign != 1 && sign != -1) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-                 " sign " + std::to_string(sign) + " not in {-1, +1}");
-      }
-      if (shift < 0 || shift > shift_levels) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-                 " shift " + std::to_string(shift) + " outside [0, " +
-                 std::to_string(shift_levels) + "]");
-      }
-      const std::int64_t element = streams.element[ei];
-      if (element < 0 || element >= in_span) {
-        fail(ArtifactErrorCode::kBadProgram,
-             "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
-                 " element " + std::to_string(element) + " outside [0, " +
-                 std::to_string(in_span) + ")");
-      }
-      if (conv) {
-        const std::int64_t channel = streams.channel[ei];
-        const std::int64_t ky = streams.ky[ei];
-        const std::int64_t kx = streams.kx[ei];
-        if (channel < 0 || channel >= record.in_channels || ky < 0 ||
-            ky >= kernel || kx < 0 || kx >= kernel ||
-            element != (channel * kernel + ky) * kernel + kx) {
-          fail(ArtifactErrorCode::kBadProgram,
-               "op " + std::to_string(op_index) + " entry " +
-                   std::to_string(e) + " spatial split disagrees with element");
-        }
-      }
-      const std::int64_t step = std::int64_t{1} << shift;
-      gain = gain > inference::kShiftAccumulatorGuard - step
-                 ? inference::kShiftAccumulatorGuard
-                 : gain + step;
-    }
-    if (streams.filter_gain[static_cast<std::size_t>(f)] != gain) {
+  // Per-entry domains. The prefix is proven monotone from 0 to entries, so
+  // one pass over the streams covers every filter's range.
+  const std::int64_t in_span =
+      conv ? record.in_channels * record.kernel * record.kernel
+           : record.in_channels;
+  for (std::size_t e = 0; e < entries; ++e) {
+    const int sign = plan.sign[e];
+    const int shift = plan.shift[e];
+    if (sign != 1 && sign != -1) {
       fail(ArtifactErrorCode::kBadProgram,
-           "op " + std::to_string(op_index) + " filter " + std::to_string(f) +
-               " gain does not match its entries");
+           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
+               " sign " + std::to_string(sign) + " not in {-1, +1}");
+    }
+    if (shift < 0 || shift > shift_levels) {
+      fail(ArtifactErrorCode::kBadProgram,
+           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
+               " shift " + std::to_string(shift) + " outside [0, " +
+               std::to_string(shift_levels) + "]");
+    }
+    const std::int64_t element = plan.element[e];
+    if (element < 0 || element >= in_span) {
+      fail(ArtifactErrorCode::kBadProgram,
+           "op " + std::to_string(op_index) + " entry " + std::to_string(e) +
+               " element " + std::to_string(element) + " outside [0, " +
+               std::to_string(in_span) + ")");
     }
   }
   return plan;
+}
+
+// The section kinds format v2 writes; v1's retired kinds are unknown.
+bool known_section_kind(std::uint32_t kind) {
+  switch (static_cast<SectionKind>(kind)) {
+    case SectionKind::kProgram:
+    case SectionKind::kPlanElement:
+    case SectionKind::kPlanShift:
+    case SectionKind::kPlanSign:
+    case SectionKind::kPlanFilterBegin:
+    case SectionKind::kBias:
+    case SectionKind::kWeights:
+    case SectionKind::kAffineScale:
+    case SectionKind::kAffineBias:
+      return true;
+  }
+  return false;
 }
 
 tensor::Tensor copy_floats(const SectionView& view, const tensor::Shape& shape) {
@@ -554,10 +504,8 @@ ProgramOp decode_op(const std::uint8_t* base, const SectionDesc* sections,
         fail(ArtifactErrorCode::kBadProgram,
              "op " + std::to_string(op_index) + " affine scale/bias disagree");
       }
-      const auto* scale = reinterpret_cast<const float*>(scale_view.data);
-      const auto* bias = reinterpret_cast<const float*>(bias_view.data);
-      op.scale.assign(scale, scale + channels);
-      op.affine_bias.assign(bias, bias + channels);
+      op.scale = copy_stream<float>(scale_view, channels);
+      op.affine_bias = copy_stream<float>(bias_view, channels);
       break;
     }
     case ProgramOpKind::kLeakyRelu:
@@ -772,14 +720,17 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
          "section count " + std::to_string(header.section_count) +
              " does not fit the file");
   }
-  const auto* sections =
-      reinterpret_cast<const SectionDesc*>(data + sizeof(ArtifactHeader));
+  // The table and the op records are copied out like every other section,
+  // so `data` needs no particular alignment.
+  std::vector<SectionDesc> table(header.section_count);
+  std::memcpy(table.data(), data + sizeof(ArtifactHeader),
+              table.size() * sizeof(SectionDesc));
+  const SectionDesc* sections = table.data();
   const std::size_t table_end =
       sizeof(ArtifactHeader) + header.section_count * sizeof(SectionDesc);
   for (std::uint32_t i = 0; i < header.section_count; ++i) {
     const SectionDesc& desc = sections[i];
-    if (desc.kind < static_cast<std::uint32_t>(SectionKind::kProgram) ||
-        desc.kind > static_cast<std::uint32_t>(SectionKind::kAffineBias)) {
+    if (!known_section_kind(desc.kind)) {
       fail(ArtifactErrorCode::kBadSection,
            "section " + std::to_string(i) + " has unknown kind " +
                std::to_string(desc.kind));
@@ -817,11 +768,11 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
          "program section does not hold " + std::to_string(header.op_count) +
              " op records");
   }
-  const auto* records =
-      reinterpret_cast<const OpRecord*>(data + sections[0].offset);
+  std::vector<OpRecord> records(header.op_count);
+  std::memcpy(records.data(), data + sections[0].offset, sections[0].bytes);
   // --- residual segment audit before any decode ---
   std::size_t cursor = 0;
-  consume_segment(records, cursor, header.op_count, header.op_count, 0);
+  consume_segment(records.data(), cursor, header.op_count, header.op_count, 0);
   // --- per-op decode + deep plan validation ---
   NetworkProgram program;
   program.input_c = header.input_c;
@@ -837,22 +788,8 @@ FLIGHTNN_API_ENTRY inference::NetworkProgram parse_artifact(
 
 // --- ArtifactModel --------------------------------------------------------
 
-ArtifactModel::Mapping::~Mapping() {
-  if (data_ == nullptr) return;
-  if (mmapped_) {
-#if FLIGHTNN_ARTIFACT_HAS_MMAP
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-#endif
-  } else {
-    ::operator delete(const_cast<std::uint8_t*>(data_),
-                      std::align_val_t{kArtifactAlignment});
-  }
-}
-
-ArtifactModel::ArtifactModel(std::unique_ptr<Mapping> mapping,
-                             inference::NetworkProgram program)
-    : mapping_(std::move(mapping)),
-      input_c_(program.input_c),
+ArtifactModel::ArtifactModel(inference::NetworkProgram program)
+    : input_c_(program.input_c),
       input_h_(program.input_h),
       input_w_(program.input_w) {
   try {
@@ -864,24 +801,17 @@ ArtifactModel::ArtifactModel(std::unique_ptr<Mapping> mapping,
   }
 }
 
-namespace {
-
-// kArtifactAlignment-aligned heap block so the plan streams' int64 views
-// are aligned exactly as they would be under mmap (page-aligned base).
-std::uint8_t* aligned_alloc_bytes(std::size_t size) {
-  return static_cast<std::uint8_t*>(
-      ::operator new(size, std::align_val_t{kArtifactAlignment}));
-}
-
-}  // namespace
-
-// FLIGHTNN_COLD_ALLOC: cold-start boundary -- the mapping wrapper and the
+// FLIGHTNN_COLD_ALLOC: cold-start boundary -- the program copies and the
 // adopted network are built exactly once per load, never on the hot path.
 // (Also keeps the name-matching lint from conflating this `load` with
 // std::atomic::load calls inside FLIGHTNN_HOT bodies.)
 FLIGHTNN_COLD_ALLOC FLIGHTNN_API_ENTRY ArtifactModel ArtifactModel::load(
     const std::string& path) {
   FLIGHTNN_CHECK(!path.empty(), "ArtifactModel::load: empty path");
+  // The program holds copies of everything it needs, so the bytes are
+  // released at the end of each block below, before the engines are built
+  // (and also when parsing throws).
+  inference::NetworkProgram program;
 #if FLIGHTNN_ARTIFACT_HAS_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) fail(ArtifactErrorCode::kIo, "cannot open " + path);
@@ -898,37 +828,35 @@ FLIGHTNN_COLD_ALLOC FLIGHTNN_API_ENTRY ArtifactModel ArtifactModel::load(
   void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (base == MAP_FAILED) fail(ArtifactErrorCode::kIo, "mmap failed for " + path);
-  auto mapping = std::make_unique<Mapping>(
-      static_cast<const std::uint8_t*>(base), size, /*mmapped=*/true);
-  inference::NetworkProgram program =
-      parse_artifact(mapping->data(), mapping->size());
-  return ArtifactModel(std::move(mapping), std::move(program));
+  {
+    const auto unmap = [size](std::uint8_t* bytes) { ::munmap(bytes, size); };
+    const std::unique_ptr<std::uint8_t, decltype(unmap)> mapping(
+        static_cast<std::uint8_t*>(base), unmap);
+    program = parse_artifact(mapping.get(), size);
+  }
 #else
-  // No mmap on this platform: stream the file into an aligned buffer.
+  // No mmap on this platform: stream the file into a heap buffer.
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) fail(ArtifactErrorCode::kIo, "cannot open " + path);
   const std::streamsize stream_size = file.tellg();
   if (stream_size <= 0) fail(ArtifactErrorCode::kTruncated, path + " is empty");
   const auto size = static_cast<std::size_t>(stream_size);
-  std::uint8_t* buffer = aligned_alloc_bytes(size);
-  auto mapping = std::make_unique<Mapping>(buffer, size, /*mmapped=*/false);
-  file.seekg(0);
-  file.read(reinterpret_cast<char*>(buffer), stream_size);
-  if (!file) fail(ArtifactErrorCode::kIo, "read failed for " + path);
-  inference::NetworkProgram program = parse_artifact(buffer, size);
-  return ArtifactModel(std::move(mapping), std::move(program));
+  {
+    std::vector<std::uint8_t> buffer(size);
+    file.seekg(0);
+    file.read(reinterpret_cast<char*>(buffer.data()), stream_size);
+    if (!file) fail(ArtifactErrorCode::kIo, "read failed for " + path);
+    program = parse_artifact(buffer.data(), size);
+  }
 #endif
+  return ArtifactModel(std::move(program));
 }
 
 FLIGHTNN_COLD_ALLOC FLIGHTNN_API_ENTRY ArtifactModel ArtifactModel::load_buffer(
     const std::uint8_t* data, std::size_t size) {
   FLIGHTNN_CHECK(data != nullptr || size == 0,
                  "ArtifactModel::load_buffer: null data with nonzero size");
-  std::uint8_t* buffer = aligned_alloc_bytes(size == 0 ? 1 : size);
-  auto mapping = std::make_unique<Mapping>(buffer, size, /*mmapped=*/false);
-  if (size > 0) std::memcpy(buffer, data, size);
-  inference::NetworkProgram program = parse_artifact(buffer, size);
-  return ArtifactModel(std::move(mapping), std::move(program));
+  return ArtifactModel(parse_artifact(data, size));
 }
 
 }  // namespace flightnn::serialize

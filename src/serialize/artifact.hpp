@@ -1,14 +1,14 @@
 #pragma once
 
-// The zero-copy deployable model artifact: a compiled NetworkProgram laid
-// out into one flat, relocatable, mmap-able blob. This is the FINN-R /
-// FlexNN deployment unit for FLightNNs -- all planning (decomposition,
-// ShiftPlan lowering, batch-norm folding) happens offline in
-// build_artifact; loading is mmap plus an O(#sections) pointer fixup that
-// binds PlanArray views straight into the mapping. N serving replicas that
-// map the same file share one physical copy of every plan stream.
+// The deployable model artifact: a compiled NetworkProgram laid out into one
+// flat, relocatable, mmap-able blob. This is the FINN-R / FlexNN deployment
+// unit for FLightNNs -- all planning (decomposition, ShiftPlan lowering,
+// batch-norm folding) happens offline in build_artifact. A shift op stores
+// exactly its plan's four streams (element, shift, sign, filter_begin); the
+// loader validates them, copies them into the plan and releases the
+// mapping, and the engines pack their GEMM panels from the copies.
 //
-// Format v1 (DESIGN.md §13 is the normative spec):
+// Format v2 (DESIGN.md §13 is the normative spec):
 //
 //   [ArtifactHeader: 128 bytes]
 //   [section table: section_count x SectionDesc (24 bytes each)]
@@ -23,18 +23,18 @@
 // (the golden test pins this).
 //
 // Versioning: `version` is bumped on any layout change; loaders reject
-// versions they do not know (no silent forward compat). New op kinds or
-// section kinds append enum values, never renumber.
+// versions they do not know (no silent forward or backward compat; a v1
+// file is kBadVersion). New op kinds or section kinds append enum values,
+// never renumber.
 //
 // The loader treats the file as untrusted input: every structural field is
 // range-checked before use, every plan stream is validated entry by entry
-// (bounds, sign, shift range, recomputed overflow gains), and residual
+// (bounds, sign, shift range, the filter prefix), and residual
 // segment counts are proven consistent by the exact-consumption program
 // builder. Any violation throws ArtifactError with a typed code -- never
 // UB, never an unchecked allocation driven by a hostile length.
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -75,7 +75,7 @@ class ArtifactError : public std::runtime_error {
 
 inline constexpr char kArtifactMagic[8] = {'F', 'L', 'N', 'A',
                                            'R', 'T', '0', '1'};
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
 inline constexpr std::size_t kArtifactAlignment = 64;
 
 struct ArtifactHeader {
@@ -96,21 +96,19 @@ struct ArtifactHeader {
 };
 static_assert(sizeof(ArtifactHeader) == 128, "artifact header layout drift");
 
-// Serialization-stable section kinds (append only, never renumber).
+// Serialization-stable section kinds (append only, never renumber). Kinds
+// 3, 4, 5 and 9 held v1's derivable channel/ky/kx/filter_gain streams; they
+// are retired, and a section carrying one is rejected as an unknown kind.
 enum class SectionKind : std::uint32_t {
-  kProgram = 1,  // op_count x OpRecord
-  kPlanElement = 2,
-  kPlanChannel = 3,
-  kPlanKy = 4,
-  kPlanKx = 5,
-  kPlanShift = 6,
-  kPlanSign = 7,
-  kPlanFilterBegin = 8,
-  kPlanFilterGain = 9,
-  kBias = 10,         // float[out_channels]
-  kWeights = 11,      // float fallback layers, row-major
-  kAffineScale = 12,  // float[channels]
-  kAffineBias = 13,   // float[channels]
+  kProgram = 1,          // op_count x OpRecord
+  kPlanElement = 2,      // int32[entries]
+  kPlanShift = 6,        // int8[entries]
+  kPlanSign = 7,         // int8[entries]
+  kPlanFilterBegin = 8,  // int64[out_channels + 1]
+  kBias = 10,            // float[out_channels]
+  kWeights = 11,         // float fallback layers, row-major
+  kAffineScale = 12,     // float[channels]
+  kAffineBias = 13,      // float[channels]
 };
 
 struct SectionDesc {
@@ -127,13 +125,9 @@ inline constexpr std::uint32_t kAbsentSection = 0xffffffffU;
 // Section-reference roles inside OpRecord::sec, in serialization order.
 enum OpSectionRole : int {
   kRoleElement = 0,
-  kRoleChannel,
-  kRoleKy,
-  kRoleKx,
   kRoleShift,
   kRoleSign,
   kRoleFilterBegin,
-  kRoleFilterGain,
   kRoleBias,
   kRoleWeights,
   kRoleAffineScale,
@@ -166,7 +160,7 @@ struct OpRecord {
   std::uint32_t sec[kOpSectionRoles] = {};  // section indices per role
   std::uint8_t reserved[24] = {};
 };
-static_assert(sizeof(OpRecord) == 224, "op record layout drift");
+static_assert(sizeof(OpRecord) == 208, "op record layout drift");
 
 // --- Compiler -------------------------------------------------------------
 
@@ -195,24 +189,23 @@ std::uint64_t artifact_checksum64(const std::uint8_t* data, std::size_t size);
 
 // --- Loader ---------------------------------------------------------------
 
-// Validate `data` as an artifact and reconstitute its NetworkProgram. Plan
-// streams become PlanArray *views* into `data` -- zero copies; the caller
-// guarantees `data` outlives the returned program (ArtifactModel does).
-// Bias/affine/weight tensors are small and are copied out. Throws
+// Validate `data` as an artifact and reconstitute its NetworkProgram. Every
+// structure is copied out (memcpy, so `data` may have any alignment), and
+// the program does not reference `data` after the call. Throws
 // ArtifactError on any malformation.
 inference::NetworkProgram parse_artifact(const std::uint8_t* data,
                                          std::size_t size);
 
-// A deployable model bound to its backing artifact bytes. Owns the mapping
-// (mmap on POSIX, aligned heap elsewhere or via load_buffer) and the
-// executable network whose plans view straight into it. Move-only.
+// A deployable model loaded from an artifact: the executable network and
+// its input geometry. The artifact bytes (an mmap on POSIX, a heap buffer
+// elsewhere) live only for the duration of the load. Move-only.
 class ArtifactModel {
  public:
-  // mmap `path` read-only and fix up. O(#sections) work after the map.
+  // mmap `path` read-only, parse, release the mapping, build the network.
   static ArtifactModel load(const std::string& path);
 
-  // Copy `size` bytes into a 64-byte-aligned heap block and fix up. For
-  // callers that already hold the blob (tests, fuzzers, network receive).
+  // Load from bytes the caller already holds (tests, fuzzers, network
+  // receive); they need not outlive the call.
   static ArtifactModel load_buffer(const std::uint8_t* data, std::size_t size);
 
   ArtifactModel(ArtifactModel&&) noexcept = default;
@@ -228,32 +221,9 @@ class ArtifactModel {
   [[nodiscard]] std::int64_t input_h() const { return input_h_; }
   [[nodiscard]] std::int64_t input_w() const { return input_w_; }
 
-  // Backing bytes (tests assert the plans' zero-copy views land in here).
-  [[nodiscard]] const std::uint8_t* data() const { return mapping_->data(); }
-  [[nodiscard]] std::size_t size() const { return mapping_->size(); }
-
  private:
-  // Read-only byte mapping; unmaps / frees on destruction.
-  class Mapping {
-   public:
-    Mapping(const std::uint8_t* data, std::size_t size, bool mmapped)
-        : data_(data), size_(size), mmapped_(mmapped) {}
-    Mapping(const Mapping&) = delete;
-    Mapping& operator=(const Mapping&) = delete;
-    ~Mapping();
-    [[nodiscard]] const std::uint8_t* data() const { return data_; }
-    [[nodiscard]] std::size_t size() const { return size_; }
+  explicit ArtifactModel(inference::NetworkProgram program);
 
-   private:
-    const std::uint8_t* data_;
-    std::size_t size_;
-    bool mmapped_;
-  };
-
-  ArtifactModel(std::unique_ptr<Mapping> mapping,
-                inference::NetworkProgram program);
-
-  std::unique_ptr<Mapping> mapping_;
   inference::QuantizedNetwork network_;
   std::int64_t input_c_ = 0;
   std::int64_t input_h_ = 0;

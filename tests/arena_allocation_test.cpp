@@ -153,10 +153,10 @@ TEST(ArenaAllocationTest, SingleThreadSteadyStateAllocatesNothing) {
 }
 
 // Deployment regression: a network executed out of an mmap-loaded artifact
-// (plan streams are zero-copy views into the read-only mapping; engines hold
-// no weights) must reach the same zero-allocation steady state as the
-// in-process compiled network above. Catches any loader change that starts
-// materializing per-batch copies of the mapped plan data.
+// (the loader copies the plan streams out and releases the mapping; engines
+// hold only their packed panels) must reach the same zero-allocation steady
+// state as the in-process compiled network above. Catches any loader change
+// that leaves per-batch work behind in the adopted engines.
 TEST(ArenaAllocationTest, ArtifactMmapLoadedSteadyStateAllocatesNothing) {
   runtime::set_num_threads(1);
 

@@ -1,16 +1,20 @@
-// The deployment-artifact battery (DESIGN.md §13). Four legs:
+// The deployment-artifact battery (DESIGN.md §13). Five legs:
 //
 //   1. Golden regression: a checked-in artifact built from a fully
 //      deterministic ResNet must be byte-identical to a fresh build --
 //      any layout drift (field order, alignment, section order, checksum)
 //      fails loudly. Regenerate with FLIGHTNN_REGEN_GOLDEN=1.
 //   2. Differential: logits from the mmap-loaded and heap-compiled paths
-//      must be memcmp-identical, serial and under 4 threads.
+//      must be memcmp-identical, serial and under 4 threads; parsed plans
+//      must equal the compiled ones stream for stream.
 //   3. Corruption matrix: every structural violation (truncation, bad
 //      magic/version/checksum, misaligned or escaping sections, invalid
 //      op records and plan streams) throws the matching typed
 //      ArtifactError -- never UB, never a wild allocation.
-//   4. Shared mapping: two processes mapping one artifact file produce
+//   4. Fuzz corpus: the checked-in valid seeds load, and every corruption
+//      seed is rejected past the version gate, so a format bump cannot
+//      quietly turn the corpus into version-gate-only seeds.
+//   5. Shared file: two processes mapping one artifact file produce
 //      identical logits (fork-based, POSIX only).
 
 #include "serialize/artifact.hpp"
@@ -41,6 +45,9 @@
 
 #ifndef FLIGHTNN_GOLDEN_DIR
 #define FLIGHTNN_GOLDEN_DIR "tests/golden"
+#endif
+#ifndef FLIGHTNN_ARTIFACT_CORPUS_DIR
+#define FLIGHTNN_ARTIFACT_CORPUS_DIR "fuzz/corpus/artifact"
 #endif
 
 namespace flightnn::serialize {
@@ -210,46 +217,53 @@ TEST(ArtifactDifferential, MmapAndHeapLogitsAreMemcmpIdentical) {
   std::remove(path.c_str());
 }
 
-// --- Zero-copy: plan streams must view the blob, not copies ---------------
+// --- Round trip: parsed plans equal the compiled ones --------------------
 
-TEST(ArtifactZeroCopy, PlanStreamsPointIntoTheBlob) {
+template <typename T>
+bool same_stream(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// The loader copies every structure out with memcpy, so the blob may sit at
+// any address: parse it from an odd one.
+TEST(ArtifactRoundTrip, ParsedPlansEqualTheCompiledPlans) {
   const NetworkProgram compiled = deterministic_program();
   const std::vector<std::uint8_t> blob = build_artifact(compiled);
-  const NetworkProgram parsed = parse_artifact(blob.data(), blob.size());
-  const auto* begin = blob.data();
-  const auto* end = blob.data() + blob.size();
-  const auto in_blob = [&](const void* p) {
-    return p >= static_cast<const void*>(begin) &&
-           p < static_cast<const void*>(end);
-  };
-  // The artifact path and the in-memory compile alike carry plans, never the
-  // float weights: a shift op's plan is its only form.
-  for (const NetworkProgram* program : {&parsed, &compiled}) {
-    const char* what = program == &parsed ? "artifact" : "compile_program";
-    int shift_ops = 0;
-    for (const auto& op : program->ops) {
-      if (op.kind != ProgramOpKind::kShiftConv &&
-          op.kind != ProgramOpKind::kShiftLinear) {
-        continue;
-      }
-      ++shift_ops;
-      EXPECT_TRUE(op.weights.empty()) << what;
-      EXPECT_EQ(op.plan.filters, op.out_channels) << what;
-      EXPECT_GT(op.plan.entries(), 0) << what;
-      if (program != &parsed) continue;
-      EXPECT_TRUE(in_blob(op.plan.element.data()));
-      EXPECT_TRUE(in_blob(op.plan.shift.data()));
-      EXPECT_TRUE(in_blob(op.plan.sign.data()));
-      EXPECT_TRUE(in_blob(op.plan.filter_begin.data()));
-      EXPECT_TRUE(in_blob(op.plan.filter_gain.data()));
-      // Streams of 8-byte elements must be naturally aligned in the mapping.
-      EXPECT_EQ(
-          reinterpret_cast<std::uintptr_t>(op.plan.filter_begin.data()) % 8,
-          0U);
+  std::vector<std::uint8_t> shifted(blob.size() + 1);
+  std::memcpy(shifted.data() + 1, blob.data(), blob.size());
+  const NetworkProgram parsed = parse_artifact(shifted.data() + 1, blob.size());
+  ASSERT_EQ(parsed.ops.size(), compiled.ops.size());
+  int shift_ops = 0;
+  for (std::size_t i = 0; i < compiled.ops.size(); ++i) {
+    const auto& want = compiled.ops[i];
+    const auto& got = parsed.ops[i];
+    ASSERT_EQ(got.kind, want.kind) << "op " << i;
+    if (want.kind != ProgramOpKind::kShiftConv &&
+        want.kind != ProgramOpKind::kShiftLinear) {
+      continue;
     }
-    EXPECT_GT(shift_ops, 10)
-        << what << ": ResNet-18 should lower many shift layers";
+    ++shift_ops;
+    // Both paths carry plans, never the float weights: a shift op's plan is
+    // its only form.
+    EXPECT_TRUE(want.weights.empty()) << "op " << i;
+    EXPECT_TRUE(got.weights.empty()) << "op " << i;
+    EXPECT_EQ(want.plan.filters, want.out_channels) << "op " << i;
+    EXPECT_GT(want.plan.entries(), 0) << "op " << i;
+    EXPECT_EQ(got.plan.filters, want.plan.filters) << "op " << i;
+    EXPECT_TRUE(same_stream(got.plan.element, want.plan.element)) << "op " << i;
+    EXPECT_TRUE(same_stream(got.plan.shift, want.plan.shift)) << "op " << i;
+    EXPECT_TRUE(same_stream(got.plan.sign, want.plan.sign)) << "op " << i;
+    EXPECT_TRUE(same_stream(got.plan.filter_begin, want.plan.filter_begin))
+        << "op " << i;
   }
+  EXPECT_GT(shift_ops, 10) << "ResNet-18 should lower many shift layers";
+
+  const ArtifactModel unaligned =
+      ArtifactModel::load_buffer(shifted.data() + 1, blob.size());
+  EXPECT_EQ(logits_bytes(unaligned.network(), 4),
+            logits_bytes(QuantizedNetwork::from_program(deterministic_program()),
+                         4));
 }
 
 // --- Corruption matrix ----------------------------------------------------
@@ -314,6 +328,12 @@ const CorruptionCase kCorruptionMatrix[] = {
        header.version = kArtifactVersion + 7;
        write_header(blob, header);
      }},
+    {"previous format version (1)", ArtifactErrorCode::kBadVersion, false,
+     [](std::vector<std::uint8_t>& blob) {
+       auto header = read_header(blob);
+       header.version = 1;
+       write_header(blob, header);
+     }},
     {"inconsistent header geometry", ArtifactErrorCode::kBadHeader, false,
      [](std::vector<std::uint8_t>& blob) {
        auto header = read_header(blob);
@@ -353,6 +373,13 @@ const CorruptionCase kCorruptionMatrix[] = {
      [](std::vector<std::uint8_t>& blob) {
        auto sections = read_sections(blob);
        sections[1].kind = 0xDEAD;
+       write_section(blob, 1, sections[1]);
+     }},
+    {"retired v1 section kind (filter gain)", ArtifactErrorCode::kBadSection,
+     true,
+     [](std::vector<std::uint8_t>& blob) {
+       auto sections = read_sections(blob);
+       sections[1].kind = 9;
        write_section(blob, 1, sections[1]);
      }},
     {"program section replaced", ArtifactErrorCode::kBadSection, true,
@@ -421,15 +448,6 @@ const CorruptionCase kCorruptionMatrix[] = {
        first = -first - 1;
        std::memcpy(blob.data() + begin.offset + 8, &first, sizeof(first));
      }},
-    {"filter gain disagreeing with its entries",
-     ArtifactErrorCode::kBadProgram, true,
-     [](std::vector<std::uint8_t>& blob) {
-       const SectionDesc gain = find_section(blob, SectionKind::kPlanFilterGain);
-       std::int64_t value = 0;
-       std::memcpy(&value, blob.data() + gain.offset, sizeof(value));
-       value += 1;
-       std::memcpy(blob.data() + gain.offset, &value, sizeof(value));
-     }},
 };
 
 TEST(ArtifactCorruption, EveryCorruptionClassYieldsItsTypedError) {
@@ -477,7 +495,54 @@ TEST(ArtifactCorruption, MissingFileIsATypedIoError) {
   }
 }
 
-// --- Two processes, one mapping -------------------------------------------
+// --- Fuzz corpus: seeds stay past the version gate ------------------------
+
+std::string corpus_seed(const char* name) {
+  return std::string(FLIGHTNN_ARTIFACT_CORPUS_DIR) + "/" + name;
+}
+
+TEST(ArtifactCorpus, SeedsMatchTheCurrentFormat) {
+  for (const char* valid : {"artifact_vgg_valid", "artifact_resnet_valid"}) {
+    const std::vector<std::uint8_t> blob = read_file(corpus_seed(valid));
+    ASSERT_FALSE(blob.empty()) << "missing corpus seed " << valid;
+    EXPECT_NO_THROW((void)ArtifactModel::load_buffer(blob.data(), blob.size()))
+        << valid << " no longer loads; regenerate the corpus with "
+                    "make_seed_corpus";
+  }
+  // Every corruption seed must be built at the current version, so it
+  // reaches the validator it was made for. Only artifact_bad_version is
+  // meant to stop at the version gate.
+  const char* const corrupt[] = {
+      "artifact_bad_checksum",      "artifact_bad_filter_begin",
+      "artifact_bad_input_geom",    "artifact_bad_magic",
+      "artifact_bad_op_kind",       "artifact_bad_shift",
+      "artifact_bad_sign",          "artifact_section_misaligned",
+      "artifact_section_oob",       "artifact_truncated_header",
+      "artifact_truncated_payload"};
+  for (const char* name : corrupt) {
+    const std::vector<std::uint8_t> blob = read_file(corpus_seed(name));
+    ASSERT_FALSE(blob.empty()) << "missing corpus seed " << name;
+    try {
+      (void)ArtifactModel::load_buffer(blob.data(), blob.size());
+      ADD_FAILURE() << name << ": loader accepted a corruption seed";
+    } catch (const ArtifactError& error) {
+      EXPECT_NE(error.code(), ArtifactErrorCode::kBadVersion)
+          << name << " only reaches the version gate; regenerate the corpus "
+                     "with make_seed_corpus";
+    }
+  }
+  const std::vector<std::uint8_t> bad_version =
+      read_file(corpus_seed("artifact_bad_version"));
+  ASSERT_FALSE(bad_version.empty());
+  try {
+    (void)ArtifactModel::load_buffer(bad_version.data(), bad_version.size());
+    ADD_FAILURE() << "loader accepted artifact_bad_version";
+  } catch (const ArtifactError& error) {
+    EXPECT_EQ(error.code(), ArtifactErrorCode::kBadVersion);
+  }
+}
+
+// --- Two processes, one file ----------------------------------------------
 
 #if FLIGHTNN_TEST_HAS_FORK
 TEST(ArtifactSharedMapping, TwoProcessesProduceIdenticalLogits) {

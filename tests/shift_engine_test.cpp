@@ -221,6 +221,27 @@ TEST(ShiftConvTest, InputValidation) {
   EXPECT_THROW(ShiftConv2d(wq, 1, config, 1, 0, bad_bias), std::invalid_argument);
 }
 
+// An adopted plan whose filter prefix starts at 0 and ends at entries() but
+// is not monotone ({0, 1000, 1} over one entry) would have build_panel walk
+// entries 1..999 of a one-entry stream. Both engines must reject it.
+TEST(ShiftConvTest, AdoptedPlanWithNonMonotonePrefixIsRejected) {
+  const quant::Pow2Config config;
+  ShiftPlan plan;
+  plan.filters = 2;
+  plan.element = {0};
+  plan.shift = {static_cast<std::int8_t>(-config.e_min)};
+  plan.sign = {1};
+  plan.filter_begin = {0, 1000, 1};
+  EXPECT_THROW(ShiftConv2d(ShiftLowering{plan, 1}, {2, 1, 1, 1, 0}, config),
+               support::CheckFailure);
+  EXPECT_THROW(ShiftLinear(ShiftLowering{plan, 1}, {2, 1}, config),
+               support::CheckFailure);
+  // The same entry under a monotone prefix adopts cleanly.
+  plan.filter_begin = {0, 1, 1};
+  EXPECT_NO_THROW(ShiftConv2d(ShiftLowering{plan, 1}, {2, 1, 1, 1, 0}, config));
+  EXPECT_NO_THROW(ShiftLinear(ShiftLowering{plan, 1}, {2, 1}, config));
+}
+
 TEST(ReferenceConvTest, KnownValue) {
   Tensor w(Shape{1, 1, 2, 2}, std::vector<float>{1, 2, 3, 4});
   Tensor img(Shape{1, 2, 2}, std::vector<float>{1, 1, 1, 1});

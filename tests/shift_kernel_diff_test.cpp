@@ -5,7 +5,7 @@
 // that are not a multiple of the 16-column tile, odd patch depths, k_max,
 // pruning (including all-pruned layers and pruned filters with a bias),
 // forced-wide layers that must take the int64 scalar route, thread counts,
-// and artifact-adopted plans whose streams are zero-copy views into an mmap.
+// and plans adopted from an mmap-loaded artifact.
 // The direct GEMM cases run core::int_gemm on exactly-sized packed buffers,
 // so the ASan CI preset turns any read past a packed operand into a hard
 // failure. AVX2 comparisons skip on hosts without AVX2, where the avx2 tier
@@ -436,7 +436,7 @@ TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
   runtime::set_num_threads(1);
 }
 
-// --- Artifact-adopted plans (zero-copy mmap views) -------------------------
+// --- Artifact-adopted plans ---------------------------------------------
 
 TEST(ShiftKernelDiffTest, ArtifactPlansRunBothTiersBitIdentical) {
   const TierGuard guard;
@@ -451,10 +451,10 @@ TEST(ShiftKernelDiffTest, ArtifactPlansRunBothTiersBitIdentical) {
                            ".flnart";
   serialize::save_artifact(program, path);
   {
-    // mmap-backed load: the adopted plans' core streams are views into the
-    // mapping; the GEMM panels are packed (and owned) by the adopting
-    // constructors. Every tier must match the weights-built network's
-    // scalar logits byte for byte.
+    // mmap-backed load: the loader copies the plan streams out of the
+    // mapping and the adopting constructors pack (and own) the GEMM panels.
+    // Every tier must match the weights-built network's scalar logits byte
+    // for byte.
     const serialize::ArtifactModel mapped = serialize::ArtifactModel::load(path);
     support::Rng rng(107);
     Tensor image = Tensor::randn(Shape{3, 16, 16}, rng);

@@ -4,10 +4,12 @@
 // outputs and identical op counts to the term-walk oracle, and
 // the plan itself must satisfy its structural invariants (sorted filter
 // prefix, no zero-sign entries, shifts inside the barrel range, pruned
-// filters with empty entry ranges).
+// filters with empty entry ranges), and the engine's packed panel must carry
+// the plan's worst-case accumulator gain.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -51,7 +53,8 @@ void prune_filters(Tensor& weights, double fraction) {
 }
 
 void check_plan_invariants(const inference::ShiftPlan& plan,
-                           const quant::Pow2Config& config, bool conv) {
+                           const inference::ShiftPanel& panel,
+                           const quant::Pow2Config& config) {
   ASSERT_EQ(plan.filter_begin.size(),
             static_cast<std::size_t>(plan.filters) + 1);
   EXPECT_EQ(plan.filter_begin.front(), 0);
@@ -63,13 +66,6 @@ void check_plan_invariants(const inference::ShiftPlan& plan,
   ASSERT_EQ(plan.element.size(), n);
   ASSERT_EQ(plan.shift.size(), n);
   ASSERT_EQ(plan.sign.size(), n);
-  if (conv) {
-    ASSERT_EQ(plan.channel.size(), n);
-    ASSERT_EQ(plan.ky.size(), n);
-    ASSERT_EQ(plan.kx.size(), n);
-  } else {
-    EXPECT_TRUE(plan.channel.empty());
-  }
   const int shift_levels = config.exponent_levels();
   for (std::size_t e = 0; e < n; ++e) {
     EXPECT_TRUE(plan.sign[e] == 1 || plan.sign[e] == -1)
@@ -77,17 +73,24 @@ void check_plan_invariants(const inference::ShiftPlan& plan,
     EXPECT_GE(plan.shift[e], 0);
     EXPECT_LT(plan.shift[e], shift_levels);
   }
-  ASSERT_EQ(plan.filter_gain.size(), static_cast<std::size_t>(plan.filters));
+  // The panel's gain is the max over filters of the saturated sum of
+  // 2^shift over the filter's entries: 0 when every filter is pruned.
+  std::int64_t max_gain = 0;
   for (std::int64_t f = 0; f < plan.filters; ++f) {
-    const bool empty = plan.filter_begin[static_cast<std::size_t>(f)] ==
-                       plan.filter_begin[static_cast<std::size_t>(f) + 1];
-    if (empty) {
-      EXPECT_EQ(plan.filter_gain[static_cast<std::size_t>(f)], 0)
-          << "pruned filter " << f << " has nonzero gain";
-    } else {
-      EXPECT_GT(plan.filter_gain[static_cast<std::size_t>(f)], 0);
+    std::int64_t gain = 0;
+    for (std::int64_t e = plan.filter_begin[static_cast<std::size_t>(f)];
+         e < plan.filter_begin[static_cast<std::size_t>(f) + 1]; ++e) {
+      const std::int64_t step = std::int64_t{1}
+                                << plan.shift[static_cast<std::size_t>(e)];
+      gain = gain > inference::kShiftAccumulatorGuard - step
+                 ? inference::kShiftAccumulatorGuard
+                 : gain + step;
     }
+    max_gain = std::max(max_gain, gain);
   }
+  EXPECT_EQ(panel.max_gain, max_gain);
+  EXPECT_EQ(panel.max_gain == 0, panel.rows.empty())
+      << "gain must be 0 exactly when every filter is pruned";
 }
 
 // Count nonzero elements of a quantized weight tensor, term by term: the
@@ -133,7 +136,7 @@ TEST(ShiftPlanPropertyTest, ConvPlanMatchesReferenceAcrossRandomConfigs) {
                                               padding);
           const inference::ShiftLowering lowered =
               inference::lower_shift_weights(wq, k_max, config);
-          check_plan_invariants(lowered.plan, config, /*conv=*/true);
+          check_plan_invariants(lowered.plan, engine.panel(), config);
           EXPECT_EQ(lowered.plan.entries(),
                     expected_entries(wq, k_max, config))
               << "plan did not elide exactly the zero elements";
@@ -198,7 +201,7 @@ TEST(ShiftPlanPropertyTest, LinearPlanMatchesReferenceAcrossRandomConfigs) {
       const inference::ShiftLinear engine(wq, k_max, config);
       const inference::ShiftLowering lowered =
           inference::lower_shift_weights(wq, k_max, config);
-      check_plan_invariants(lowered.plan, config, /*conv=*/false);
+      check_plan_invariants(lowered.plan, engine.panel(), config);
       EXPECT_EQ(lowered.plan.entries(), expected_entries(wq, k_max, config));
 
       const Tensor x = Tensor::randn(Shape{in_features}, rng);
@@ -229,14 +232,14 @@ TEST(ShiftPlanPropertyTest, SingleWeightCompilesToOneEntry) {
   const auto& plan = lowered.plan;
   ASSERT_EQ(plan.entries(), 1);
   EXPECT_EQ(plan.element[0], 0);
-  EXPECT_EQ(plan.channel[0], 0);
-  EXPECT_EQ(plan.ky[0], 0);
-  EXPECT_EQ(plan.kx[0], 0);
   EXPECT_EQ(plan.shift[0], -config.e_min);
   EXPECT_EQ(plan.sign[0], 1);
   EXPECT_EQ(plan.filter_begin[1], 1);
   EXPECT_EQ(plan.filter_begin[2], 1) << "pruned filter must have empty range";
-  EXPECT_EQ(plan.filter_gain[1], 0);
+  const inference::ShiftConv2d engine(lowered, {2, 1, 3, 1, 1}, config);
+  EXPECT_EQ(engine.panel().pruned, std::vector<std::int32_t>{1});
+  EXPECT_EQ(engine.panel().max_gain, std::int64_t{1} << -config.e_min)
+      << "one 2^0 entry at shift -e_min";
 }
 
 // Bias handling must match the oracle (bias folds in after dequantization,
