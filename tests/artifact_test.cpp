@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "core/quantize_model.hpp"
+#include "grid_fixture.hpp"
 #include "inference/network_program.hpp"
 #include "inference/quantized_network.hpp"
 #include "models/networks.hpp"
@@ -62,49 +62,16 @@ using tensor::Tensor;
 // --- Deterministic fixture ------------------------------------------------
 //
 // The golden test needs byte-reproducibility across compilers and libms, so
-// every parameter is overwritten with exact-grid values (n/64, |n| <= 64)
-// from a fixed xorshift32 stream: quantization, plan lowering and batch-norm
-// folding then involve only correctly-rounded float ops (+-*/ and sqrt).
-
-std::uint32_t xorshift32(std::uint32_t& state) {
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  return state;
-}
-
-void fill_grid(Tensor& tensor, std::uint32_t& state) {
-  float* data = tensor.data();
-  for (std::int64_t i = 0; i < tensor.numel(); ++i) {
-    const auto raw = static_cast<int>(xorshift32(state) % 129U) - 64;
-    data[i] = static_cast<float>(raw) / 64.0F;
-  }
-}
+// the model and images are grid-valued (tests/grid_fixture.hpp).
 
 std::unique_ptr<nn::Sequential> deterministic_model() {
-  models::BuildOptions build;
-  build.classes = 10;
-  build.in_channels = 3;
-  build.width_scale = 0.125F;
-  build.seed = 17;
   // ResNet (Table 1 id 2): residual blocks exercise the segment encoding.
-  auto model = models::build_network(models::table1_network(2), build);
-  std::uint32_t state = 0x9E3779B9U;
-  for (nn::Parameter* parameter : model->parameters()) {
-    fill_grid(parameter->value, state);
-  }
-  core::install_lightnn(*model, 2);
-  return model;
+  return grid::grid_model(2, 0.125F, 17, 0x9E3779B9U);
 }
 
 const Shape kInputShape{1, 3, 16, 16};
 
-Tensor deterministic_image(std::uint32_t salt) {
-  Tensor image(Shape{3, 16, 16});
-  std::uint32_t state = 0xB5297A4DU + salt;
-  fill_grid(image, state);
-  return image;
-}
+Tensor deterministic_image(std::uint32_t salt) { return grid::grid_image(salt); }
 
 NetworkProgram deterministic_program() {
   auto model = deterministic_model();

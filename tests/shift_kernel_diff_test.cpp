@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/gemm.hpp"
-#include "core/quantize_model.hpp"
+#include "grid_fixture.hpp"
 #include "inference/quantized_network.hpp"
 #include "inference/shift_engine.hpp"
 #include "models/networks.hpp"
@@ -384,34 +384,8 @@ TEST(ShiftKernelDiffTest, IntGemmWideWeightsDirect) {
 
 // --- Whole network across thread counts and tiers --------------------------
 
-std::uint32_t xorshift32(std::uint32_t& state) {
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  return state;
-}
-
-void fill_grid(Tensor& tensor, std::uint32_t& state) {
-  float* data = tensor.data();
-  for (std::int64_t i = 0; i < tensor.numel(); ++i) {
-    const auto raw = static_cast<int>(xorshift32(state) % 129U) - 64;
-    data[i] = static_cast<float>(raw) / 64.0F;
-  }
-}
-
 std::unique_ptr<nn::Sequential> small_model() {
-  models::BuildOptions build;
-  build.classes = 10;
-  build.in_channels = 3;
-  build.width_scale = 0.125F;
-  build.seed = 23;
-  auto model = models::build_network(models::table1_network(1), build);
-  std::uint32_t state = 0x2545F491U;
-  for (nn::Parameter* parameter : model->parameters()) {
-    fill_grid(parameter->value, state);
-  }
-  core::install_lightnn(*model, 2);
-  return model;
+  return grid::grid_model(1, 0.125F, 23, 0x2545F491U);
 }
 
 TEST(ShiftKernelDiffTest, WholeNetworkThreadAndTierSweep) {
