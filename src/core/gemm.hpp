@@ -41,6 +41,7 @@
 // panels times an int16 activation panel, accumulated exactly and
 // dequantized in the store pass.
 
+#include <bit>
 #include <cstdint>
 
 namespace flightnn::core {
@@ -138,6 +139,17 @@ struct IntGemmShape {
   std::int64_t pairs = 0;  // int_gemm_pairs(depth)
   std::int64_t cols = 0;   // output columns
 };
+
+// Leaky ReLU as a bit select: `slope * v` is computed for every element and
+// a mask chooses between it and v, so the result is byte-identical to
+// `v > 0 ? v : slope * v` for every slope (not only slope <= 1, where
+// max(v, slope * v) would do) and the compiler emits no data-dependent
+// branch. Shared by the standalone leaky step and the GEMM store epilogue.
+inline float leaky_relu(float v, float slope) {
+  const std::uint32_t keep = 0U - static_cast<std::uint32_t>(v > 0.0F);
+  return std::bit_cast<float>((std::bit_cast<std::uint32_t>(v) & keep) |
+                              (std::bit_cast<std::uint32_t>(slope * v) & ~keep));
+}
 
 // Fused dequantize-and-bias store.
 struct IntGemmStore {

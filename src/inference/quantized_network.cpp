@@ -8,6 +8,7 @@
 #include "support/annotations.hpp"
 #include "support/check.hpp"
 
+#include "core/gemm.hpp"
 #include "inference/memory_plan.hpp"
 #include "nn/loss.hpp"
 
@@ -143,9 +144,10 @@ class LeakyReLUStep final : public Step {
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* /*counts*/) const override {
     tensor::Tensor out(input.shape());
+    const float* in = input.data();
+    float* o = out.data();
     for (std::int64_t i = 0; i < input.numel(); ++i) {
-      const float v = input[i];
-      out[i] = v > 0.0F ? v : slope_ * v;
+      o[i] = core::leaky_relu(in[i], slope_);
     }
     return out;
   }
