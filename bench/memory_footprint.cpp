@@ -3,11 +3,11 @@
 // Table-1 CIFAR-10 network runs warmed batches on one thread, and the bench
 // records:
 //
-//   - the plan's patch-panel slot capacity vs the calling thread's measured
+//   - the plan's scratch slot capacity vs the calling thread's measured
 //     arena footprint after the batches (must agree within alignment slack:
 //     a kernel asking for more than the plan claimed grows the slot and
 //     fails the bench),
-//   - the plan's activation working set, quant scratch and per-thread total,
+//   - the plan's activation working set and per-thread total,
 //   - process peak RSS at cold start, after compile, and at steady state
 //     (getrusage; the whole-process view the OS bills).
 //
@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
   table.add_row({"activation peak",
                  std::to_string(plan.activation_peak_bytes()),
                  support::format_fixed(kib(plan.activation_peak_bytes()), 1)});
-  table.add_row({"quant scratch peak", std::to_string(plan.quant_peak_bytes()),
-                 support::format_fixed(kib(plan.quant_peak_bytes()), 1)});
   table.add_row({"planned per-thread total",
                  std::to_string(plan.planned_per_thread_bytes()),
                  support::format_fixed(kib(plan.planned_per_thread_bytes()),
@@ -156,8 +154,6 @@ int main(int argc, char** argv) {
   out.add_number("measured_over_planned_ratio", measured_over_planned);
   out.add_int("activation_peak_bytes",
               static_cast<long long>(plan.activation_peak_bytes()));
-  out.add_int("quant_peak_bytes",
-              static_cast<long long>(plan.quant_peak_bytes()));
   out.add_int("planned_per_thread_bytes",
               static_cast<long long>(plan.planned_per_thread_bytes()));
   out.add_int("rss_cold_kib", rss_cold_kib);

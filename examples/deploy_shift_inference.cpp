@@ -27,7 +27,7 @@
 // is actually on the vector fast path.
 //
 // --mem-budget caps the deployment's inference memory (MiB, 0 = unlimited):
-// the memory plan's per-thread peak (patch-panel slot + quant scratch +
+// the memory plan's per-thread peak (scratch slot +
 // activation working set) is reported against the budget, and when the
 // requested batch would overshoot, the dynamic batcher's flush size is
 // capped so the in-flight input set fits (DESIGN.md §15). The plan itself
@@ -85,10 +85,9 @@ int apply_mem_budget(const flightnn::inference::QuantizedNetwork& network,
       static_cast<std::size_t>(channels * height * width) * sizeof(float);
   const double mib = 1024.0 * 1024.0;
   std::printf(
-      "\nmemory plan: arena %.1f KiB + quant %.1f KiB + activations %.1f KiB "
+      "\nmemory plan: arena %.1f KiB + activations %.1f KiB "
       "= %.2f MiB/thread x %zu threads = %.2f MiB planned peak\n",
       static_cast<double>(plan->arena_capacity_bytes()) / 1024.0,
-      static_cast<double>(plan->quant_peak_bytes()) / 1024.0,
       static_cast<double>(plan->activation_peak_bytes()) / 1024.0,
       static_cast<double>(per_thread) / mib, threads,
       static_cast<double>(fixed) / mib);

@@ -42,43 +42,31 @@ inline void copy_row_stride1(const float* in_row, std::int64_t in_w,
 
 }  // namespace
 
-std::int64_t im2col_pairs_scratch(const tensor::ConvGeometry& geom) {
-  const std::int64_t out_hw = geom.out_h() * geom.out_w();
+std::int64_t im2col_pairs_panel(const tensor::ConvGeometry& geom) {
   const std::int64_t depth = geom.in_channels * geom.kernel * geom.kernel;
-  return int_gemm_pairs(depth) * int_gemm_ld(out_hw) * 2 +
-         geom.in_channels * (geom.in_h + 2 * geom.padding) *
-             (geom.in_w + 2 * geom.padding);
+  return int_gemm_pairs(depth) * int_gemm_ld(geom.out_h() * geom.out_w()) * 2;
 }
 
-// Two passes, multiversioned as a whole so the AVX2 clone vectorizes both:
-// narrow the image into a zero-bordered int16 copy (the staging area after
-// the panel), then fill each K-pair block from two staged rows at a time --
-// every output position is one int32 pair store, with no bounds checks.
+std::int64_t im2col_pairs_staged(const tensor::ConvGeometry& geom) {
+  return geom.in_channels * (geom.in_h + 2 * geom.padding) *
+         (geom.in_w + 2 * geom.padding);
+}
+
+// Multiversioned so the AVX2 clone vectorizes the gather: each K-pair block
+// is filled from two staged rows at a time, every output position one int32
+// pair store.
 FLIGHTNN_SIMD_CLONES FLIGHTNN_HOT void im2col_pairs(
-    const std::int32_t* image, const tensor::ConvGeometry& geom,
-    std::int16_t* scratch) {
+    const std::int16_t* staged, const tensor::ConvGeometry& geom,
+    std::int16_t* panel) {
   const std::int64_t out_h = geom.out_h();
   const std::int64_t out_w = geom.out_w();
   const std::int64_t out_hw = out_h * out_w;
   const std::int64_t ld = int_gemm_ld(out_hw);
   const std::int64_t depth = geom.in_channels * geom.kernel * geom.kernel;
   const std::int64_t pairs = int_gemm_pairs(depth);
-  const std::int64_t pad = geom.padding;
-  const std::int64_t hp = geom.in_h + 2 * pad;
-  const std::int64_t wp = geom.in_w + 2 * pad;
+  const std::int64_t hp = geom.in_h + 2 * geom.padding;
+  const std::int64_t wp = geom.in_w + 2 * geom.padding;
   const std::int64_t s = geom.stride;
-
-  std::int16_t* staged = scratch + pairs * ld * 2;
-  std::fill(staged, staged + geom.in_channels * hp * wp, std::int16_t{0});
-  for (std::int64_t c = 0; c < geom.in_channels; ++c) {
-    for (std::int64_t y = 0; y < geom.in_h; ++y) {
-      const std::int32_t* src = image + (c * geom.in_h + y) * geom.in_w;
-      std::int16_t* dst = staged + (c * hp + y + pad) * wp + pad;
-      for (std::int64_t x = 0; x < geom.in_w; ++x) {
-        dst[x] = static_cast<std::int16_t>(src[x]);
-      }
-    }
-  }
 
   // Staged top-left tap of patch row k, walked in row order: kx fastest,
   // then ky, then c (no per-row division). Row `depth` of an odd depth
@@ -96,7 +84,7 @@ FLIGHTNN_SIMD_CLONES FLIGHTNN_HOT void im2col_pairs(
     return t;
   };
   for (std::int64_t p = 0; p < pairs; ++p) {
-    std::int16_t* block = scratch + p * ld * 2;
+    std::int16_t* block = panel + p * ld * 2;
     const std::int16_t* r0 = next_tap();
     const bool odd_tail = 2 * p + 1 == depth;
     const std::int16_t* r1 = odd_tail ? r0 : next_tap();

@@ -41,17 +41,20 @@ void im2col_strided(const float* image, const tensor::ConvGeometry& geom,
 void col2im_strided(const float* columns, std::int64_t row_stride,
                     const tensor::ConvGeometry& geom, float* image);
 
-// Lower one quantized image [C, in_h, in_w] into the K-pair packed int16
-// activation panel of core::int_gemm (gemm.hpp): x(k, j) for patch row
-// k = (c * K + ky) * K + kx -- the OIHW element order of a shift plan -- and
-// output position j = oy * out_w + ox. Every value must fit int16 (the
-// caller checks max |q|). Taps outside the image, the second row of an
-// odd-depth final pair and the padding columns [out_hw, ld) are zero.
-// `scratch` holds im2col_pairs_scratch(geom) elements: the panel,
-// int_gemm_pairs(C*K*K) * int_gemm_ld(out_hw) * 2 of them, comes first and
-// is the GEMM operand; a zero-bordered int16 copy of the image follows.
-void im2col_pairs(const std::int32_t* image, const tensor::ConvGeometry& geom,
-                  std::int16_t* scratch);
-std::int64_t im2col_pairs_scratch(const tensor::ConvGeometry& geom);
+// Lower one quantized image into the K-pair packed int16 activation panel
+// of core::int_gemm (gemm.hpp): x(k, j) for patch row k = (c * K + ky) * K
+// + kx -- the OIHW element order of a shift plan -- and output position
+// j = oy * out_w + ox. The image arrives already staged: `staged` holds the
+// int16 codes [C, in_h, in_w] with a zero border of `padding` on every side
+// (im2col_pairs_staged(geom) elements, code (c, y, x) at
+// (c * (in_h + 2p) + y + p) * (in_w + 2p) + x + p), so the lowering is a
+// pure gather with no bounds checks. Taps of the padding border, the second
+// row of an odd-depth final pair and the padding columns [out_hw, ld) come
+// out zero. `panel` holds im2col_pairs_panel(geom) elements:
+// int_gemm_pairs(C*K*K) * int_gemm_ld(out_hw) * 2.
+void im2col_pairs(const std::int16_t* staged, const tensor::ConvGeometry& geom,
+                  std::int16_t* panel);
+std::int64_t im2col_pairs_panel(const tensor::ConvGeometry& geom);
+std::int64_t im2col_pairs_staged(const tensor::ConvGeometry& geom);
 
 }  // namespace flightnn::core

@@ -347,23 +347,20 @@ KernelTier detected_kernel_tier() {
   return tier;
 }
 
-// Fused store of one register tile, acc[r * kIntGemmNr + j]: dequantize as
-// a multiply then an add. The scale is a power of two (or zero after
-// underflow) and float(acc) is an integer with at most 24 significant bits,
-// so the product is exact short of overflow to inf. The add therefore sees
-// the same operand whether or not the compiler contracts the pair into an
-// FMA (-march=native builds may), and the store is bit-exact either way.
+// Fused store of one register tile, acc[r * kIntGemmNr + j], through
+// int_gemm_epilogue. float(acc) is an integer with at most 24 significant
+// bits and the scale a power of two (or zero after underflow), so the
+// dequantize product is exact short of overflow to inf.
 template <typename AccT>
 FLIGHTNN_HOT void store_tile(const AccT* acc, std::int64_t row0,
                              std::int64_t mr, std::int64_t j0, std::int64_t nc,
                              const IntGemmStore& st) {
   for (std::int64_t r = 0; r < mr; ++r) {
     const std::int64_t o = st.row_map[row0 + r];
-    const float b = st.bias != nullptr ? st.bias[o] : 0.0F;
     float* dst = st.out + o * st.ldo + j0;
     const AccT* a = acc + r * kIntGemmNr;
     for (std::int64_t j = 0; j < nc; ++j) {
-      dst[j] = static_cast<float>(a[j]) * st.scale + b;
+      dst[j] = int_gemm_epilogue(st, o, static_cast<float>(a[j]));
     }
   }
 }
@@ -483,20 +480,32 @@ int_tile_avx2(const std::int16_t* wt, const std::int16_t* x,
   }
 }
 
-// Fused store of a full 16-column tile, eight lanes at a time.
+// Fused store of a full 16-column tile, eight lanes at a time: the same
+// multiplies, adds and leaky bit select as int_gemm_epilogue, lane-wise
+// (the compare is false for NaN in both forms).
 __attribute__((target("avx2"))) FLIGHTNN_HOT void store_tile_avx2(
     const std::int32_t* acc, std::int64_t row0, std::int64_t mr,
     std::int64_t j0, const IntGemmStore& st) {
   const __m256 scale = _mm256_set1_ps(st.scale);
+  const __m256 slope = _mm256_set1_ps(st.slope);
+  const __m256 zero = _mm256_setzero_ps();
   for (std::int64_t r = 0; r < mr; ++r) {
     const std::int64_t o = st.row_map[row0 + r];
     const __m256 b = _mm256_set1_ps(st.bias != nullptr ? st.bias[o] : 0.0F);
+    const bool affine = st.post_scale != nullptr;
+    const __m256 ps = _mm256_set1_ps(affine ? st.post_scale[o] : 0.0F);
+    const __m256 pb = _mm256_set1_ps(affine ? st.post_bias[o] : 0.0F);
     float* dst = st.out + o * st.ldo + j0;
     for (std::int64_t j = 0; j < kIntGemmNr; j += 8) {
       const __m256 v = _mm256_cvtepi32_ps(_mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(acc + r * kIntGemmNr + j)));
-      _mm256_storeu_ps(dst + j,
-                       _mm256_add_ps(_mm256_mul_ps(v, scale), b));
+      __m256 y = _mm256_add_ps(_mm256_mul_ps(v, scale), b);
+      if (affine) y = _mm256_add_ps(_mm256_mul_ps(ps, y), pb);
+      if (st.leaky) {
+        y = _mm256_blendv_ps(_mm256_mul_ps(slope, y), y,
+                             _mm256_cmp_ps(y, zero, _CMP_GT_OQ));
+      }
+      _mm256_storeu_ps(dst + j, y);
     }
   }
 }

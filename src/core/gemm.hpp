@@ -70,11 +70,15 @@ void gemm_strided(const float* a, std::int64_t a_rs, std::int64_t a_cs,
 // --- Exact integer GEMM (shift-layer inference, DESIGN.md §14) -------------
 //
 // C[rows x cols] = W[rows x depth] * X[depth x cols] over integers, with the
-// dequantize-and-bias epilogue fused into the store:
-//   out[row_map[r] * ldo + j] = float(C[r][j]) * scale + bias[row_map[r]]
-// with `scale` a power of two: the product is then exact, so the result is
-// bit-identical to dequantizing an exact accumulator whether or not the
-// compiler fuses the multiply and add into an FMA.
+// dequantize-and-bias epilogue fused into the store (o = row_map[r]):
+//   y = float(C[r][j]) * scale + bias[o]
+//   y = post_scale[o] * y + post_bias[o]    (when post_scale is set)
+//   y = leaky_relu(y, slope)                 (when leaky is set)
+//   out[o * ldo + j] = y
+// with `scale` a power of two, so the first product is exact. The affine and
+// leaky stages are a fused shift conv's folded batch norm and activation
+// (DESIGN.md §14); every multiply and add rounds separately (the library
+// builds with -ffp-contract=off), in the order the standalone steps use.
 //
 // Both operands are packed in K-pairs so one vpmaddwd lane multiplies and
 // adds two depth steps at once:
@@ -151,14 +155,28 @@ inline float leaky_relu(float v, float slope) {
                               (std::bit_cast<std::uint32_t>(slope * v) & ~keep));
 }
 
-// Fused dequantize-and-bias store.
+// Fused dequantize-and-bias store plus the optional epilogue above.
 struct IntGemmStore {
   float* out = nullptr;
   std::int64_t ldo = 0;                     // output row pitch
   const std::int32_t* row_map = nullptr;    // GEMM row -> output row
   const float* bias = nullptr;              // per output row; null = 0
   float scale = 1.0F;                       // a power of two, or 0
+  const float* post_scale = nullptr;        // per output row; null = no affine
+  const float* post_bias = nullptr;         // set together with post_scale
+  bool leaky = false;
+  float slope = 0.0F;
 };
+
+// The stored value of output row `o` for the dequantized accumulator
+// `value` = float(acc) (the scalar form of the store; pruned rows apply it
+// to an all-zero accumulator).
+inline float int_gemm_epilogue(const IntGemmStore& st, std::int64_t o,
+                               float value) {
+  float y = value * st.scale + (st.bias != nullptr ? st.bias[o] : 0.0F);
+  if (st.post_scale != nullptr) y = st.post_scale[o] * y + st.post_bias[o];
+  return st.leaky ? leaky_relu(y, st.slope) : y;
+}
 
 // int16 panels on `tier` (kAvx2 requires the narrow bound above and falls
 // back to kScalar on a CPU without AVX2 or for a single column).

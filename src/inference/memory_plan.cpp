@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "core/conv_lowering.hpp"
-#include "inference/quantized_network.hpp"
+#include "core/gemm.hpp"
+#include "inference/shift_engine.hpp"
 #include "runtime/scratch_arena.hpp"
 #include "support/check.hpp"
 #include "support/logging.hpp"
@@ -29,7 +29,6 @@ struct MemoryPlan::Analysis {
   std::vector<OpMemory> per_op;
   std::vector<ActivationInterval> acts;
   std::vector<Shape> act_shapes;  // parallel to acts
-  std::size_t quant_peak_values = 0;
 
   explicit Analysis(const NetworkProgram& p) : program(p) {
     const std::size_t n = p.ops.size();
@@ -45,7 +44,7 @@ struct MemoryPlan::Analysis {
     // run()'s entry copy (`current = image`).
     std::size_t cur = define(0, Shape{p.input_c, p.input_h, p.input_w});
     std::size_t cursor = 0;
-    while (cursor < n) cur = walk_op(cursor, cur);
+    while (cursor < n) cur = walk_op(cursor, n, cur);
     // The logits tensor is handed to the caller, so it lives through the
     // last op.
     use(cur, static_cast<std::uint32_t>(n - 1));
@@ -65,19 +64,41 @@ struct MemoryPlan::Analysis {
     acts[act].last_use_op = std::max(acts[act].last_use_op, t);
   }
 
-  void note_quant(OpMemory& mem, std::int64_t values) {
-    mem.quant_bytes =
-        static_cast<std::size_t>(values) * sizeof(std::int32_t);
-    quant_peak_values =
-        std::max(quant_peak_values, static_cast<std::size_t>(values));
-  }
-
-  // The op's int16 patch-panel scratch for im2col_pairs over `geom`
-  // (ShiftConv2d/ShiftLinear::run fetch exactly this many elements).
-  static void note_patches(OpMemory& mem, const tensor::ConvGeometry& geom) {
-    mem.scratch_bytes =
-        static_cast<std::size_t>(core::im2col_pairs_scratch(geom)) *
+  // A fused shift-conv run (match_shift_conv_run, the rule from_program
+  // fuses by) is one step: it reads its input and defines its output at the
+  // conv's time, and the conv op carries the run's arena slot --
+  // conv_scratch_elements of the pooled geometry plus the unpooled plane.
+  std::size_t walk_shift_conv(const ShiftConvRun& run, std::size_t cur) {
+    const auto t = static_cast<std::uint32_t>(run.conv);
+    const ProgramOp& op = program.ops[run.conv];
+    Shape in = act_shapes[cur];
+    FLIGHTNN_CHECK(in.rank() == 3, "memory plan: shift conv at op ", t,
+                   " expects CHW input, got ", in.to_string());
+    const std::int64_t unpooled = run.pool ? in.numel() : 0;
+    if (run.pool) {
+      const ProgramOp& pool = program.ops[run.conv - 1];
+      FLIGHTNN_CHECK(pool.window > 0 && pool.stride > 0 &&
+                         in[1] >= pool.window && in[2] >= pool.window,
+                     "memory plan: bad max pool at op ", t - 1, " on input ",
+                     in.to_string());
+      in = Shape{in[0], (in[1] - pool.window) / pool.stride + 1,
+                 (in[2] - pool.window) / pool.stride + 1};
+    }
+    const std::int64_t out_c = op.out_channels, in_c = op.in_channels,
+                       kernel = op.kernel;
+    FLIGHTNN_CHECK(out_c > 0 && in_c > 0 && kernel > 0 && op.stride > 0 &&
+                       op.padding >= 0,
+                   "memory plan: bad shift conv geometry at op ", t);
+    const tensor::ConvGeometry geom{in_c, in[1], in[2], kernel, op.stride,
+                                    op.padding};
+    const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
+    FLIGHTNN_CHECK(out_h > 0 && out_w > 0, "memory plan: shift conv at op ", t,
+                   " produces empty output from ", in.to_string());
+    per_op[t].scratch_bytes =
+        static_cast<std::size_t>(conv_scratch_elements(geom, unpooled)) *
         sizeof(std::int16_t);
+    use(cur, t);
+    return define(t, Shape{out_c, out_h, out_w});
   }
 
   // Walk the ops of a residual segment as a chain: entry deep copy, then
@@ -93,11 +114,17 @@ struct MemoryPlan::Analysis {
     use(input_act, entry);
     std::size_t chain = define(entry, act_shapes[input_act]);
     const std::size_t seg_end = cursor + static_cast<std::size_t>(count);
-    while (cursor < seg_end) chain = walk_op(cursor, chain);
+    while (cursor < seg_end) chain = walk_op(cursor, seg_end, chain);
     return chain;
   }
 
-  std::size_t walk_op(std::size_t& cursor, std::size_t cur) {  // NOLINT(misc-no-recursion)
+  // Walks the step starting at `cursor` inside its segment [cursor, end).
+  std::size_t walk_op(std::size_t& cursor, std::size_t end,  // NOLINT(misc-no-recursion)
+                      std::size_t cur) {
+    if (const auto run = match_shift_conv_run(program.ops, cursor, end)) {
+      cursor = run->end;
+      return walk_shift_conv(*run, cur);
+    }
     const auto t = static_cast<std::uint32_t>(cursor);
     const ProgramOp& op = program.ops[cursor];
     ++cursor;
@@ -110,25 +137,8 @@ struct MemoryPlan::Analysis {
         use(cur, t);
         return define(t, in);
       }
-      case ProgramOpKind::kShiftConv: {
-        FLIGHTNN_CHECK(in.rank() == 3, "memory plan: shift conv at op ", t,
-                       " expects CHW input, got ", in.to_string());
-        const std::int64_t out_c = op.out_channels, in_c = op.in_channels,
-                           kernel = op.kernel;
-        FLIGHTNN_CHECK(out_c > 0 && in_c > 0 && kernel > 0 && op.stride > 0 &&
-                           op.padding >= 0,
-                       "memory plan: bad shift conv geometry at op ", t);
-        const tensor::ConvGeometry geom{in_c, in[1], in[2], kernel, op.stride,
-                                        op.padding};
-        const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
-        FLIGHTNN_CHECK(out_h > 0 && out_w > 0,
-                       "memory plan: shift conv at op ", t,
-                       " produces empty output from ", in.to_string());
-        note_quant(mem, in.numel());
-        note_patches(mem, geom);
-        use(cur, t);
-        return define(t, Shape{out_c, out_h, out_w});
-      }
+      case ProgramOpKind::kShiftConv:
+        break;  // always starts a run, walked above
       case ProgramOpKind::kFloatConv: {
         FLIGHTNN_CHECK(in.rank() == 3, "memory plan: float conv at op ", t,
                        " expects CHW input, got ", in.to_string());
@@ -167,8 +177,10 @@ struct MemoryPlan::Analysis {
         const std::int64_t out_f = op.out_channels;
         FLIGHTNN_CHECK(out_f > 0 && op.in_channels > 0,
                        "memory plan: bad shift linear at op ", t);
-        note_quant(mem, in.numel());
-        note_patches(mem, tensor::ConvGeometry{op.in_channels, 1, 1, 1, 1, 0});
+        // The one-column panel the codes are written into.
+        mem.scratch_bytes =
+            static_cast<std::size_t>(core::int_gemm_pairs(op.in_channels) * 2) *
+            sizeof(std::int16_t);
         use(cur, t);
         return define(t, Shape{out_f});
       }
@@ -239,8 +251,7 @@ MemoryPlan::MemoryPlan(const NetworkProgram& program)
 
 MemoryPlan::MemoryPlan(Analysis&& analysis)
     : per_op_(std::move(analysis.per_op)),
-      activations_(std::move(analysis.acts)),
-      quant_peak_values_(analysis.quant_peak_values) {
+      activations_(std::move(analysis.acts)) {
   for (const OpMemory& mem : per_op_) {
     arena_capacity_bytes_ = std::max(arena_capacity_bytes_, mem.scratch_bytes);
   }
@@ -288,7 +299,6 @@ void MemoryPlan::warm_thread() const {
   for (const auto& [numel, count] : working_set_) {
     tensor::pool::prewarm(numel, count);
   }
-  reserve_quant_scratch(quant_peak_values_);
 }
 
 }  // namespace flightnn::inference

@@ -6,18 +6,19 @@
 // simulates the program's execution shape-by-shape and derives, for every
 // op, exactly which buffers its kernel will touch and for how long:
 //
-//   - Arena scratch (each shift layer's int16 K-pair patch panel, the one
-//     operand of its GEMM built per image): op-local, so one per-thread
-//     slot sized to the largest panel serves every op
-//     (runtime/scratch_arena.hpp). Activations are int16 on every GEMM
-//     route, so the extent is exact; accumulators live in registers.
+//   - Arena scratch (each shift layer's int16 slot: the K-pair patch panel
+//     its GEMM multiplies, plus for a conv the zero-bordered staging image
+//     its one code pass writes and, when it absorbed a max pool, the
+//     unpooled code plane; conv_scratch_elements): op-local, so one
+//     per-thread slot sized to the largest serves every op
+//     (runtime/scratch_arena.hpp). Codes are int16 on every route, so the
+//     extent is exact; accumulators live in registers. A fused shift-conv
+//     run (match_shift_conv_run) is walked as the one step it executes as.
 //   - Activations (step outputs, residual chain-entry copies, reshapes):
 //     value-semantic pooled tensors, so they stay in tensor::pool; the
 //     planner accounts their live intervals and prewarms the pool with the
 //     exact working set (per-numel max simultaneous live count), which
 //     removes the first-batch warmup allocations on that route too.
-//   - Quantization scratch (the per-thread QuantizedActivations buffer):
-//     sized to the largest shift-layer input and pre-reserved.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,10 +36,10 @@ namespace flightnn::inference {
 struct OpMemory {
   std::uint32_t op = 0;
   ProgramOpKind kind = ProgramOpKind::kQuantAct;
-  // Arena-backed scratch this op's kernel fetches (its patch panel).
+  // Arena-backed scratch this op's kernel fetches (its int16 slot; a fused
+  // run's lands on its shift conv op).
   std::size_t scratch_bytes = 0;
   std::size_t activation_bytes = 0;  // output tensor bytes (pool-backed)
-  std::size_t quant_bytes = 0;       // quant-scratch bytes while running
 };
 
 // One live activation interval (pool accounting; not arena-backed).
@@ -61,9 +62,9 @@ class MemoryPlan {
   static std::shared_ptr<const MemoryPlan> try_build(
       const NetworkProgram& program);
 
-  // Bytes of the per-thread patch-panel slot: the largest op's panel,
-  // rounded up to the arena alignment (scratch is op-local, so no two
-  // panels are ever live together).
+  // Bytes of the per-thread scratch slot: the largest op's, rounded up to
+  // the arena alignment (scratch is op-local, so no two ops' slots are ever
+  // live together).
   [[nodiscard]] std::size_t arena_capacity_bytes() const {
     return arena_capacity_bytes_;
   }
@@ -72,17 +73,11 @@ class MemoryPlan {
   [[nodiscard]] std::size_t activation_peak_bytes() const {
     return activation_peak_bytes_;
   }
-  [[nodiscard]] std::size_t quant_peak_values() const {
-    return quant_peak_values_;
-  }
-  [[nodiscard]] std::size_t quant_peak_bytes() const {
-    return quant_peak_values_ * sizeof(std::int32_t);
-  }
-  // Planned bytes one worker thread holds in steady state: the patch-panel
-  // slot plus its quantization scratch. (The thread running the step loop
+  // Planned bytes one worker thread holds in steady state: its scratch
+  // slot, the only per-thread buffer. (The thread running the step loop
   // additionally carries the activation working set.)
   [[nodiscard]] std::size_t planned_per_thread_bytes() const {
-    return arena_capacity_bytes() + quant_peak_bytes();
+    return arena_capacity_bytes();
   }
   [[nodiscard]] const std::vector<OpMemory>& per_op() const { return per_op_; }
   [[nodiscard]] const std::vector<ActivationInterval>& activations() const {
@@ -96,9 +91,8 @@ class MemoryPlan {
   }
 
   // Prepare the calling thread for allocation-free planned execution from
-  // the first batch: reserve the patch-panel slot to the plan's peak,
-  // prewarm the buffer pool with the activation working set, and
-  // pre-reserve the quantization scratch.
+  // the first batch: reserve the scratch slot to the plan's peak and
+  // prewarm the buffer pool with the activation working set.
   void warm_thread() const;
 
  private:
@@ -110,7 +104,6 @@ class MemoryPlan {
   std::vector<std::pair<std::size_t, std::size_t>> working_set_;
   std::size_t arena_capacity_bytes_ = 0;
   std::size_t activation_peak_bytes_ = 0;
-  std::size_t quant_peak_values_ = 0;
 };
 
 }  // namespace flightnn::inference

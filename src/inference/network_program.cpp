@@ -210,6 +210,39 @@ void program_into(nn::Sequential& seq, ProgramState& state,
 
 }  // namespace
 
+std::optional<ShiftConvRun> match_shift_conv_run(
+    const std::vector<ProgramOp>& ops, std::size_t begin, std::size_t end) {
+  ShiftConvRun run;
+  std::size_t i = begin;
+  if (i < end && ops[i].kind == ProgramOpKind::kQuantAct) {
+    std::size_t conv = i + 1;
+    run.pool = conv < end && ops[conv].kind == ProgramOpKind::kMaxPool;
+    if (run.pool) ++conv;
+    if (conv >= end || ops[conv].kind != ProgramOpKind::kShiftConv ||
+        ops[conv].act_bits != ops[i].bits) {
+      return std::nullopt;
+    }
+    run.quant = true;
+    i = conv;
+  } else if (i >= end || ops[i].kind != ProgramOpKind::kShiftConv) {
+    return std::nullopt;
+  }
+  run.conv = i++;
+  const auto channels = static_cast<std::size_t>(ops[run.conv].out_channels);
+  if (i < end && ops[i].kind == ProgramOpKind::kAffine &&
+      ops[i].scale.size() == channels &&
+      ops[i].affine_bias.size() == channels) {
+    run.affine = true;
+    ++i;
+    if (i < end && ops[i].kind == ProgramOpKind::kLeakyRelu) {
+      run.leaky = true;
+      ++i;
+    }
+  }
+  run.end = i;
+  return run;
+}
+
 NetworkProgram compile_program(nn::Sequential& model,
                                const tensor::Shape& input_shape,
                                const CompileOptions& options) {

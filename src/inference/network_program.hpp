@@ -20,7 +20,9 @@
 // and artifact loads hand the engines the same thing and build them the same
 // way.
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "inference/shift_plan.hpp"
@@ -110,6 +112,30 @@ struct NetworkProgram {
   std::int64_t input_h = 0;
   std::int64_t input_w = 0;
 };
+
+// One shift conv together with the float neighbours it absorbs: the run
+// [quant(b)] [maxpool] shift_conv [affine [leaky_relu]] of consecutive ops
+// inside one segment, executed as a single fused step (DESIGN.md §14). A
+// quant is absorbed only when b equals the conv's act_bits (the conv
+// quantizes with the same rule, so the standalone quant is redundant); a
+// maxpool only behind an absorbed quant (pooling codes then equals pooling
+// the quantized floats); an affine only when it spans exactly the conv's
+// out_channels; a leaky ReLU only behind an absorbed affine.
+struct ShiftConvRun {
+  std::size_t conv = 0;  // index of the shift conv op
+  std::size_t end = 0;   // one past the run's last op
+  bool quant = false;
+  bool pool = false;
+  bool affine = false;
+  bool leaky = false;
+};
+
+// The run that starts at ops[begin] and stays inside [begin, end), or
+// nullopt when ops[begin] does not start one (it is then a standalone
+// step). QuantizedNetwork::from_program and MemoryPlan both fuse through
+// this one rule.
+std::optional<ShiftConvRun> match_shift_conv_run(
+    const std::vector<ProgramOp>& ops, std::size_t begin, std::size_t end);
 
 // Lower a trained model. Walks the layer tree in execution order; throws on
 // layer types it does not understand. The model is used in eval mode during

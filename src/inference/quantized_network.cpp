@@ -19,16 +19,6 @@ namespace {
 using Step = QuantizedNetwork::Step;
 using StepPtr = std::unique_ptr<Step>;
 
-// Quantization scratch shared by the steps on one thread. Safe because a
-// thread runs its forward pass step by step: the quantized values are
-// consumed (by dequantize or an engine run) before the next step overwrites
-// them. Reusing one buffer across layers keeps steady-state quantization
-// allocation-free once the largest layer has sized it.
-QuantizedActivations& quant_scratch() {
-  thread_local QuantizedActivations scratch;
-  return scratch;
-}
-
 // --- Steps --------------------------------------------------------------------
 
 class QuantizeActStep final : public Step {
@@ -46,18 +36,23 @@ class QuantizeActStep final : public Step {
   int bits_;
 };
 
+// A shift conv with the neighbours it absorbed (ShiftConvRun): activations
+// stay int16 codes from the quantizer to the GEMM, and the affine and leaky
+// run in the GEMM's store pass. `absorbed` lists the absorbed ops for
+// describe().
 class ShiftConvStep final : public Step {
  public:
-  ShiftConvStep(ShiftConv2d engine, int act_bits)
-      : engine_(std::move(engine)), act_bits_(act_bits) {}
+  ShiftConvStep(ShiftConv2d engine, int act_bits, ConvFusion fusion,
+                std::string absorbed)
+      : engine_(std::move(engine)),
+        act_bits_(act_bits),
+        fusion_(std::move(fusion)),
+        absorbed_(std::move(absorbed)) {}
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* counts) const override {
-    // Inputs arriving here are already on the activation-quantizer grid, so
-    // this re-quantization is lossless (same abs-max-driven pow2 scale).
-    QuantizedActivations& q = quant_scratch();
-    quantize_image_into(input, act_bits_, q);
     OpCounts ops{};
-    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr);
+    tensor::Tensor out =
+        engine_.run(input, act_bits_, fusion_, counts ? &ops : nullptr);
     if (counts != nullptr) {
       counts->shifts += ops.shifts;
       counts->adds += ops.adds;
@@ -65,8 +60,10 @@ class ShiftConvStep final : public Step {
     return out;
   }
   [[nodiscard]] std::string describe() const override {
-    return "shift_conv[" + std::to_string(engine_.out_channels()) + "f/" +
-           std::to_string(engine_.term_count()) + "t]";
+    std::string name = "shift_conv[" +
+                       std::to_string(engine_.out_channels()) + "f/" +
+                       std::to_string(engine_.term_count()) + "t]";
+    return absorbed_.empty() ? name : name + "(" + absorbed_ + ")";
   }
   [[nodiscard]] std::int64_t term_count() const override {
     return engine_.term_count();
@@ -78,6 +75,8 @@ class ShiftConvStep final : public Step {
  private:
   ShiftConv2d engine_;
   int act_bits_;
+  ConvFusion fusion_;
+  std::string absorbed_;
 };
 
 class FloatConvStep final : public Step {
@@ -233,12 +232,10 @@ class ShiftLinearStep final : public Step {
   tensor::Tensor run(const tensor::Tensor& input,
                      NetworkOpCounts* counts) const override {
     // No explicit flatten: quantization is shape-oblivious and the engine
-    // validates numel, so the values stream straight through.
-    QuantizedActivations& q = quant_scratch();
-    quantize_tensor_into(input, act_bits_, q);
-    q.shape = tensor::Shape{input.numel()};
+    // validates numel, so the values stream straight into its panel.
     OpCounts ops{};
-    tensor::Tensor out = engine_.run(q, counts ? &ops : nullptr);
+    tensor::Tensor out =
+        engine_.run(input, act_bits_, counts ? &ops : nullptr);
     if (counts != nullptr) {
       counts->shifts += ops.shifts;
       counts->adds += ops.adds;
@@ -354,9 +351,57 @@ std::vector<StepPtr> build_segment(std::vector<ProgramOp>& ops,
   return steps;
 }
 
+void check_max_pool(const ProgramOp& op) {
+  FLIGHTNN_CHECK(op.window > 0 && op.stride > 0, "from_program: max pool window ",
+                 op.window, " / stride ", op.stride, " must be positive");
+}
+
+// One fused step from a matched run; the cursor moves past the run.
+StepPtr build_shift_conv(std::vector<ProgramOp>& ops, const ShiftConvRun& run,
+                         std::size_t& cursor) {
+  ProgramOp& op = ops[run.conv];
+  FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
+                 "from_program: shift conv act bits ", op.act_bits,
+                 " outside [2, 16]");
+  ConvFusion fusion;
+  std::string absorbed;
+  const auto absorb = [&absorbed](const std::string& name) {
+    absorbed += (absorbed.empty() ? "" : "+") + name;
+  };
+  if (run.quant) absorb("quant(" + std::to_string(op.act_bits) + "b)");
+  if (run.pool) {
+    const ProgramOp& pool = ops[run.conv - 1];
+    check_max_pool(pool);
+    fusion.pool_window = pool.window;
+    fusion.pool_stride = pool.stride;
+    absorb("maxpool");
+  }
+  if (run.affine) {
+    ProgramOp& affine = ops[run.conv + 1];
+    fusion.scale = std::move(affine.scale);
+    fusion.bias = std::move(affine.affine_bias);
+    absorb("affine");
+  }
+  if (run.leaky) {
+    fusion.leaky = true;
+    fusion.slope = ops[run.conv + 2].slope;
+    absorb("leaky_relu");
+  }
+  cursor = run.end;
+  const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
+                           op.stride, op.padding};
+  return std::make_unique<ShiftConvStep>(
+      ShiftConv2d({std::move(op.plan), op.term_count}, spec, op.pow2,
+                  std::move(op.bias)),
+      op.act_bits, std::move(fusion), std::move(absorbed));
+}
+
 StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
                    std::size_t end) {
   FLIGHTNN_CHECK(cursor < end, "from_program: op stream exhausted");
+  if (const auto run = match_shift_conv_run(ops, cursor, end)) {
+    return build_shift_conv(ops, *run, cursor);
+  }
   ProgramOp op = std::move(ops[cursor]);
   ++cursor;
   switch (op.kind) {
@@ -364,17 +409,9 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
       FLIGHTNN_CHECK(op.bits >= 2 && op.bits <= 16, "from_program: quant op ",
                      op.bits, " bits outside [2, 16]");
       return std::make_unique<QuantizeActStep>(op.bits);
-    case ProgramOpKind::kShiftConv: {
-      FLIGHTNN_CHECK(op.act_bits >= 2 && op.act_bits <= 16,
-                     "from_program: shift conv act bits ", op.act_bits,
-                     " outside [2, 16]");
-      const ShiftConvSpec spec{op.out_channels, op.in_channels, op.kernel,
-                               op.stride, op.padding};
-      return std::make_unique<ShiftConvStep>(
-          ShiftConv2d({std::move(op.plan), op.term_count}, spec, op.pow2,
-                      std::move(op.bias)),
-          op.act_bits);
-    }
+    case ProgramOpKind::kShiftConv:
+      // Every shift conv starts a run (possibly absorbing nothing).
+      break;
     case ProgramOpKind::kFloatConv:
       FLIGHTNN_CHECK(op.weights.shape().rank() == 4,
                      "from_program: float conv weights must be OIHW");
@@ -390,9 +427,7 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
     case ProgramOpKind::kLeakyRelu:
       return std::make_unique<LeakyReLUStep>(op.slope);
     case ProgramOpKind::kMaxPool:
-      FLIGHTNN_CHECK(op.window > 0 && op.stride > 0,
-                     "from_program: max pool window ", op.window, " / stride ",
-                     op.stride, " must be positive");
+      check_max_pool(op);
       return std::make_unique<MaxPoolStep>(op.window, op.stride);
     case ProgramOpKind::kGap:
       return std::make_unique<GapStep>();
@@ -432,10 +467,6 @@ StepPtr build_step(std::vector<ProgramOp>& ops, std::size_t& cursor,
 }
 
 }  // namespace
-
-void reserve_quant_scratch(std::size_t values) {
-  quant_scratch().values.reserve(values);
-}
 
 QuantizedNetwork QuantizedNetwork::compile(nn::Sequential& model,
                                            const tensor::Shape& input_shape,

@@ -127,9 +127,4 @@ class QuantizedNetwork {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> step_ops_;
 };
 
-// Pre-reserve the calling thread's shared quantization scratch for `values`
-// int32 codes (warm path; MemoryPlan::warm_thread calls this with the
-// largest shift-layer input so steady state starts allocation-free).
-void reserve_quant_scratch(std::size_t values);
-
 }  // namespace flightnn::inference

@@ -10,6 +10,7 @@
 #include "runtime/scratch_arena.hpp"
 #include "support/annotations.hpp"
 #include "support/check.hpp"
+#include "support/simd.hpp"
 
 namespace flightnn::inference {
 
@@ -236,7 +237,7 @@ core::KernelTier panel_tier(const ShiftPanel& panel, std::int64_t amax) {
 
 // Multiply the panel by the packed activations `x` (`cols` columns) and
 // store the dequantized rows; pruned filters' rows get the exact value an
-// all-zero accumulator would dequantize to, 0 * scale + bias.
+// all-zero accumulator would store, the epilogue of 0 * scale + bias.
 FLIGHTNN_HOT void run_panel(const ShiftPanel& panel, const std::int16_t* x,
                             std::int64_t cols, std::int64_t amax,
                             const core::IntGemmStore& store) {
@@ -248,56 +249,163 @@ FLIGHTNN_HOT void run_panel(const ShiftPanel& panel, const std::int16_t* x,
     core::int_gemm(panel_tier(panel, amax), panel.w16.data(), x, shape, store);
   }
   for (const std::int32_t f : panel.pruned) {
-    const float b = store.bias != nullptr ? store.bias[f] : 0.0F;
     float* out = store.out + f * store.ldo;
-    for (std::int64_t j = 0; j < cols; ++j) out[j] = 0.0F * store.scale + b;
+    std::fill(out, out + cols, core::int_gemm_epilogue(store, f, 0.0F));
   }
 }
 
-// Shared core of the quantize functions: pow2 scale from the abs-max, values
-// rounded-to-nearest and clamped symmetric, max|q| cached on the way.
-void quantize_values_into(const float* data, std::int64_t n, int bits,
-                          float abs_max, QuantizedActivations& out) {
-  const std::int64_t q_max = (1LL << (bits - 1)) - 1;
-  int scale_exp = 0;
-  if (abs_max > 0.0F) {
-    scale_exp = static_cast<int>(
-        std::ceil(std::log2(abs_max / static_cast<float>(q_max))));
-  }
-  // The scale is a power of two, so dividing by it and multiplying by its
-  // reciprocal are the same correctly-rounded value -- use the multiply.
-  const float inv_scale = std::ldexp(1.0F, -scale_exp);
-  // Round-to-nearest-even via the 1.5*2^23 constant: exact for |v| < 2^22,
-  // guaranteed here because the scale covers the abs-max (|v| <= q_max <
-  // 2^15). Identical results to std::nearbyint in the default rounding
-  // mode, but branch-free, libm-free and vectorizable.
-  constexpr float kRound = 12582912.0F;  // 1.5 * 2^23
-  const auto q_lim = static_cast<std::int32_t>(q_max);
+// A zero-bordered int16 code image: channel c, row y, column x of a
+// [channels, h, w] image at ((c * (h + 2p) + y + p) * (w + 2p) + x + p).
+// pad 0 is a dense plane; a conv's staging image has its padding. Writers
+// zero a bordered layout whole first (one bulk fill is cheaper than zeroing
+// the borders row by row), then write every row's interior.
+struct CodeLayout {
+  std::int64_t channels = 0, h = 0, w = 0, pad = 0;
 
-  out.scale_exp = scale_exp;
-  out.values.resize(static_cast<std::size_t>(n));
-  std::int32_t max_abs_q = 0;
-  if (scale_exp >= -126) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float v = data[i] * inv_scale;
-      auto q = static_cast<std::int32_t>((v + kRound) - kRound);
-      q = std::min(q_lim, std::max(-q_lim, q));
-      out.values[static_cast<std::size_t>(i)] = q;
-      max_abs_q = std::max(max_abs_q, q < 0 ? -q : q);
-    }
+  [[nodiscard]] std::int64_t size() const {
+    return channels * (h + 2 * pad) * (w + 2 * pad);
+  }
+  // First interior element of row (c, y).
+  [[nodiscard]] std::int16_t* row(std::int16_t* dst, std::int64_t c,
+                                  std::int64_t y) const {
+    return dst + (c * (h + 2 * pad) + y + pad) * (w + 2 * pad) + pad;
+  }
+  void clear_border(std::int16_t* dst) const {
+    if (pad > 0) std::fill(dst, dst + size(), std::int16_t{0});
+  }
+};
+
+// The quantizer's scale for one activation tensor: codes are
+// q = clamp(round(x * 2^-scale_exp), +-q_max) with q_max = 2^(bits-1) - 1.
+struct CodeScale {
+  int scale_exp = 0;
+  // x * 2^-scale_exp is formed as (x * pre) * inv: pre is 1 unless
+  // 2^-scale_exp overflows float (an abs-max near the denormal range), where
+  // pre = 2^64 lifts x exactly and the second product rounds once -- the
+  // same value as the exact double quotient.
+  float pre = 1.0F;
+  float inv = 1.0F;
+  float lim = 0.0F;  // q_max
+  // Largest |q|: the code of the abs-max element, since rounding is
+  // monotone and symmetric.
+  std::int64_t max_abs = 0;
+};
+
+// Round-to-nearest-even via the 1.5*2^23 constant: exact for |v| < 2^22,
+// guaranteed here because the scale covers the abs-max (|v| <= 2 q_max <
+// 2^16). Identical results to std::nearbyint in the default rounding mode,
+// but branch-free, libm-free and vectorizable.
+constexpr float kRound = 12582912.0F;  // 1.5 * 2^23
+
+inline float round_code(float x, const CodeScale& cs) {
+  const float r = ((x * cs.pre) * cs.inv + kRound) - kRound;
+  return std::min(cs.lim, std::max(-cs.lim, r));
+}
+
+// Pow2 scale from the abs-max. `what` names the caller in the errors:
+// bits outside [2, 16] and non-finite input (abs_max is NaN/Inf exactly
+// when some element is, so one compare keeps it out of the conversions).
+CodeScale code_scale(float abs_max, int bits, const char* what) {
+  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, what, ": bits ", bits,
+                 " outside [2, 16]");
+  FLIGHTNN_CHECK(std::isfinite(abs_max), what, ": non-finite input (abs max ",
+                 abs_max, ")");
+  CodeScale cs;
+  cs.lim = static_cast<float>((1 << (bits - 1)) - 1);
+  if (abs_max > 0.0F) {
+    cs.scale_exp =
+        static_cast<int>(std::ceil(std::log2(abs_max / cs.lim)));
+  }
+  if (cs.scale_exp < -126) {
+    cs.pre = std::ldexp(1.0F, 64);
+    cs.inv = std::ldexp(1.0F, -cs.scale_exp - 64);
   } else {
-    // Pathologically tiny abs-max: 2^-scale_exp overflows float, so form the
-    // quotient in double (exact: 24-bit mantissa times a power of two).
-    const double inv = std::ldexp(1.0, -scale_exp);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const auto v = static_cast<float>(static_cast<double>(data[i]) * inv);
-      auto q = static_cast<std::int32_t>((v + kRound) - kRound);
-      q = std::min(q_lim, std::max(-q_lim, q));
-      out.values[static_cast<std::size_t>(i)] = q;
-      max_abs_q = std::max(max_abs_q, q < 0 ? -q : q);
+    cs.inv = std::ldexp(1.0F, -cs.scale_exp);
+  }
+  cs.max_abs = static_cast<std::int64_t>(round_code(abs_max, cs));
+  return cs;
+}
+
+// Codes of n contiguous floats. Multiversioned so the AVX2 clone converts
+// eight lanes at a time.
+FLIGHTNN_SIMD_CLONES FLIGHTNN_HOT void encode_span(const float* x,
+                                                   std::int64_t n,
+                                                   const CodeScale& cs,
+                                                   std::int16_t* dst) {
+  const CodeScale local = cs;
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::int16_t>(round_code(x[i], local));
+  }
+}
+
+// Quantize the contiguous float image at `x` (layout's interior order) into
+// int16 codes in `layout` at `dst`: the one code pass of every shift layer.
+FLIGHTNN_HOT void encode_into(const float* x, const CodeScale& cs,
+                              const CodeLayout& layout, std::int16_t* dst) {
+  if (layout.pad == 0) {
+    encode_span(x, layout.size(), cs, dst);
+    return;
+  }
+  layout.clear_border(dst);
+  for (std::int64_t c = 0; c < layout.channels; ++c) {
+    for (std::int64_t y = 0; y < layout.h; ++y) {
+      encode_span(x + (c * layout.h + y) * layout.w, layout.w, cs,
+                  layout.row(dst, c, y));
     }
   }
-  out.max_abs = max_abs_q;
+}
+
+// Max pool of the dense code plane [layout.channels, h, w] (window, stride)
+// into `layout` (the pooled geometry) at `dst`. Max commutes with the
+// monotone code map, so this equals pooling the floats, then quantizing.
+// Each output row first takes the vertical max of its window's rows into
+// the window's top row -- in place: no later output row reads that row --
+// with contiguous, vectorizable loops; then the horizontal max, whose 2/2
+// form (every pool of the Table-1 networks) vectorizes as well.
+FLIGHTNN_SIMD_CLONES FLIGHTNN_HOT void pool_codes(
+    std::int16_t* plane, std::int64_t h, std::int64_t w, std::int64_t window,
+    std::int64_t stride, const CodeLayout& layout, std::int16_t* dst) {
+  layout.clear_border(dst);
+  for (std::int64_t c = 0; c < layout.channels; ++c) {
+    for (std::int64_t oy = 0; oy < layout.h; ++oy) {
+      std::int16_t* __restrict top = plane + (c * h + oy * stride) * w;
+      for (std::int64_t ky = 1; ky < window; ++ky) {
+        const std::int16_t* __restrict next = top + ky * w;
+        for (std::int64_t x = 0; x < w; ++x) {
+          top[x] = std::max(top[x], next[x]);
+        }
+      }
+      std::int16_t* __restrict out = layout.row(dst, c, oy);
+      if (window == 2 && stride == 2) {
+        for (std::int64_t ox = 0; ox < layout.w; ++ox) {
+          out[ox] = std::max(top[2 * ox], top[2 * ox + 1]);
+        }
+        continue;
+      }
+      for (std::int64_t ox = 0; ox < layout.w; ++ox) {
+        std::int16_t best = top[ox * stride];
+        for (std::int64_t kx = 1; kx < window; ++kx) {
+          best = std::max(best, top[ox * stride + kx]);
+        }
+        out[ox] = best;
+      }
+    }
+  }
+}
+
+// Narrowing copy of int32 codes (|q| already checked to fit int16).
+void stage_values(const std::int32_t* values, const CodeLayout& layout,
+                  std::int16_t* dst) {
+  layout.clear_border(dst);
+  for (std::int64_t c = 0; c < layout.channels; ++c) {
+    for (std::int64_t y = 0; y < layout.h; ++y) {
+      const std::int32_t* src = values + (c * layout.h + y) * layout.w;
+      std::int16_t* row = layout.row(dst, c, y);
+      for (std::int64_t x = 0; x < layout.w; ++x) {
+        row[x] = static_cast<std::int16_t>(src[x]);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -306,32 +414,26 @@ std::int64_t QuantizedActivations::abs_max() const {
   return max_abs >= 0 ? max_abs : max_abs_value(values);
 }
 
-void quantize_image_into(const tensor::Tensor& image, int bits,
-                         QuantizedActivations& out) {
+QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits) {
+  const CodeScale cs = code_scale(x.abs_max(), bits, "quantize_tensor");
+  std::vector<std::int16_t> codes(static_cast<std::size_t>(x.numel()));
+  encode_span(x.data(), x.numel(), cs, codes.data());
+  QuantizedActivations out;
+  out.values.assign(codes.begin(), codes.end());
+  out.scale_exp = cs.scale_exp;
+  out.shape = x.shape();
+  out.max_abs = cs.max_abs;
+  return out;
+}
+
+QuantizedActivations quantize_image(const tensor::Tensor& image, int bits) {
   const auto& s = image.shape();
   FLIGHTNN_CHECK(s.rank() == 3 || (s.rank() == 4 && s[0] == 1),
                  "quantize_image: expected [C,H,W] or [1,C,H,W], got ",
                  s.to_string());
-  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_image: bits ", bits,
-                 " outside [2, 16]");
-  // abs_max is NaN/Inf exactly when some element is, so one compare keeps
-  // non-finite input out of the float-to-int conversions below.
-  const float abs_max = image.abs_max();
-  FLIGHTNN_CHECK(std::isfinite(abs_max),
-                 "quantize_image: non-finite input (abs max ", abs_max, ")");
+  QuantizedActivations out = quantize_tensor(image, bits);
   out.shape = s.rank() == 3 ? s : tensor::Shape{s[1], s[2], s[3]};
-  quantize_values_into(image.data(), image.numel(), bits, abs_max, out);
-}
-
-void quantize_tensor_into(const tensor::Tensor& x, int bits,
-                          QuantizedActivations& out) {
-  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "quantize_tensor: bits ", bits,
-                 " outside [2, 16]");
-  const float abs_max = x.abs_max();
-  FLIGHTNN_CHECK(std::isfinite(abs_max),
-                 "quantize_tensor: non-finite input (abs max ", abs_max, ")");
-  out.shape = x.shape();
-  quantize_values_into(x.data(), x.numel(), bits, abs_max, out);
+  return out;
 }
 
 tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
@@ -346,14 +448,10 @@ tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
   }
   if (scale_exp < -126) {
     // Pathologically tiny abs-max; take the exact two-step path.
-    QuantizedActivations q;
-    quantize_values_into(x.data(), x.numel(), bits, abs_max, q);
-    q.shape = x.shape();
-    return dequantize(q);
+    return dequantize(quantize_tensor(x, bits));
   }
   const float inv_scale = std::ldexp(1.0F, -scale_exp);
   const float scale = std::ldexp(1.0F, scale_exp);
-  constexpr float kRound = 12582912.0F;  // 1.5 * 2^23, round-to-nearest-even
   const auto lim = static_cast<float>(q_max);
   tensor::Tensor out(x.shape());
   const float* in = x.data();
@@ -368,18 +466,6 @@ tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
     r = std::min(lim, std::max(-lim, r));
     o[i] = r * scale;
   }
-  return out;
-}
-
-QuantizedActivations quantize_image(const tensor::Tensor& image, int bits) {
-  QuantizedActivations out;
-  quantize_image_into(image, bits, out);
-  return out;
-}
-
-QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits) {
-  QuantizedActivations out;
-  quantize_tensor_into(x, bits, out);
   return out;
 }
 
@@ -456,8 +542,74 @@ ShiftConv2d::ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
   }
 }
 
+std::int64_t conv_scratch_elements(const tensor::ConvGeometry& geom,
+                                   std::int64_t unpooled_numel) {
+  return core::im2col_pairs_panel(geom) + core::im2col_pairs_staged(geom) +
+         unpooled_numel;
+}
+
+tensor::ConvGeometry ShiftConv2d::geometry(std::int64_t in_h,
+                                           std::int64_t in_w) const {
+  const tensor::ConvGeometry geom{in_channels_, in_h, in_w,
+                                  kernel_,      stride_, padding_};
+  FLIGHTNN_CHECK(geom.out_h() > 0 && geom.out_w() > 0,
+                 "ShiftConv2d::run: input [", in_channels_, ", ", in_h, ", ",
+                 in_w, "] is smaller than the kernel");
+  return geom;
+}
+
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
-    const QuantizedActivations& input, OpCounts* counts) const {
+    const tensor::Tensor& input, int act_bits, const ConvFusion& fusion,
+    OpCounts* counts) const {
+  const auto& s = input.shape();
+  FLIGHTNN_CHECK(s.rank() == 3 && s[0] == in_channels_,
+                 "ShiftConv2d::run: expected [", in_channels_,
+                 ", H, W] input, got ", s.to_string());
+  FLIGHTNN_CHECK(fusion.scale.size() == fusion.bias.size() &&
+                     (fusion.scale.empty() ||
+                      static_cast<std::int64_t>(fusion.scale.size()) ==
+                          out_channels_),
+                 "ShiftConv2d::run: fused affine of ", fusion.scale.size(),
+                 "/", fusion.bias.size(), " channels, expected ",
+                 out_channels_);
+  const bool pool = fusion.pool_window > 0;
+  std::int64_t in_h = s[1], in_w = s[2];
+  if (pool) {
+    FLIGHTNN_CHECK(fusion.pool_stride > 0 && in_h >= fusion.pool_window &&
+                       in_w >= fusion.pool_window,
+                   "ShiftConv2d::run: pool window ", fusion.pool_window,
+                   " / stride ", fusion.pool_stride, " does not fit input ",
+                   s.to_string());
+    in_h = (in_h - fusion.pool_window) / fusion.pool_stride + 1;
+    in_w = (in_w - fusion.pool_window) / fusion.pool_stride + 1;
+  }
+  const CodeScale cs = code_scale(input.abs_max(), act_bits, "ShiftConv2d::run");
+  check_accumulator_range(cs.max_abs, panel_.max_gain, "ShiftConv2d::run");
+  const tensor::ConvGeometry geom = geometry(in_h, in_w);
+
+  // One code pass into the arena slot [panel | staging | unpooled plane]:
+  // straight into the zero-bordered staging image, or into the dense plane
+  // that the pool over codes then reduces into the staging image.
+  std::int16_t* scratch = runtime::ScratchArena::current().i16(
+      runtime::Scratch::kPatchPanel,
+      static_cast<std::size_t>(
+          conv_scratch_elements(geom, pool ? input.numel() : 0)));
+  std::int16_t* staged = scratch + core::im2col_pairs_panel(geom);
+  const CodeLayout layout{in_channels_, in_h, in_w, padding_};
+  if (pool) {
+    std::int16_t* plane = staged + core::im2col_pairs_staged(geom);
+    encode_into(input.data(), cs, CodeLayout{in_channels_, s[1], s[2], 0},
+                plane);
+    pool_codes(plane, s[1], s[2], fusion.pool_window, fusion.pool_stride,
+               layout, staged);
+  } else {
+    encode_into(input.data(), cs, layout, staged);
+  }
+  return run_staged(scratch, geom, cs.scale_exp, cs.max_abs, fusion, counts);
+}
+
+tensor::Tensor ShiftConv2d::run(const QuantizedActivations& input,
+                                OpCounts* counts) const {
   FLIGHTNN_CHECK(input.shape.rank() == 3 && input.shape[0] == in_channels_,
                  "ShiftConv2d::run: expected [", in_channels_,
                  ", H, W] input, got ", input.shape.to_string());
@@ -468,24 +620,36 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
   const std::int64_t amax = input.abs_max();
   check_accumulator_range(amax, panel_.max_gain, "ShiftConv2d::run");
   const std::int64_t in_h = input.shape[1], in_w = input.shape[2];
-  const tensor::ConvGeometry geom{in_channels_, in_h, in_w, kernel_, stride_,
-                                  padding_};
+  const tensor::ConvGeometry geom = geometry(in_h, in_w);
+  std::int16_t* scratch = runtime::ScratchArena::current().i16(
+      runtime::Scratch::kPatchPanel,
+      static_cast<std::size_t>(conv_scratch_elements(geom, 0)));
+  stage_values(input.values.data(),
+               CodeLayout{in_channels_, in_h, in_w, padding_},
+               scratch + core::im2col_pairs_panel(geom));
+  static const ConvFusion kNoFusion;
+  return run_staged(scratch, geom, input.scale_exp, amax, kNoFusion, counts);
+}
+
+FLIGHTNN_HOT tensor::Tensor ShiftConv2d::run_staged(
+    std::int16_t* scratch, const tensor::ConvGeometry& geom, int scale_exp,
+    std::int64_t amax, const ConvFusion& fusion, OpCounts* counts) const {
   const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
   const std::int64_t out_hw = out_h * out_w;
-  FLIGHTNN_CHECK(out_h > 0 && out_w > 0, "ShiftConv2d::run: input ",
-                 input.shape.to_string(), " is smaller than the kernel");
-
-  // Lower the image into the K-pair patch panel (per-thread arena slot),
-  // then one GEMM per image with dequantize and bias fused into its store.
-  std::int16_t* patches = runtime::ScratchArena::current().i16(
-      runtime::Scratch::kPatchPanel,
-      static_cast<std::size_t>(core::im2col_pairs_scratch(geom)));
-  core::im2col_pairs(input.values.data(), geom, patches);
+  // Gather the K-pair panel from the staged codes, then one GEMM per image
+  // with dequantize, bias and the fused epilogue in its store.
+  core::im2col_pairs(scratch + core::im2col_pairs_panel(geom), geom, scratch);
   tensor::Tensor output(tensor::Shape{out_channels_, out_h, out_w});
-  run_panel(panel_, patches, out_hw, amax,
-            core::IntGemmStore{output.data(), out_hw, panel_.rows.data(),
-                               bias_.empty() ? nullptr : bias_.data(),
-                               std::ldexp(1.0F, input.scale_exp + config_.e_min)});
+  core::IntGemmStore store{output.data(), out_hw, panel_.rows.data(),
+                           bias_.empty() ? nullptr : bias_.data(),
+                           std::ldexp(1.0F, scale_exp + config_.e_min)};
+  if (!fusion.scale.empty()) {
+    store.post_scale = fusion.scale.data();
+    store.post_bias = fusion.bias.data();
+  }
+  store.leaky = fusion.leaky;
+  store.slope = fusion.slope;
+  run_panel(panel_, scratch, out_hw, amax, store);
 
   if (counts != nullptr) {
     // Analytic census of the shift datapath: each plan entry accumulates
@@ -495,10 +659,10 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftConv2d::run(
     std::int64_t total = 0;
     for (std::int64_t ky = 0; ky < kernel_; ++ky) {
       const std::int64_t vy =
-          valid_positions(ky, out_h, in_h, stride_, padding_);
+          valid_positions(ky, out_h, geom.in_h, stride_, padding_);
       for (std::int64_t kx = 0; kx < kernel_; ++kx) {
         total += tap_entries_[static_cast<std::size_t>(ky * kernel_ + kx)] *
-                 vy * valid_positions(kx, out_w, in_w, stride_, padding_);
+                 vy * valid_positions(kx, out_w, geom.in_w, stride_, padding_);
       }
     }
     counts->shifts += total;
@@ -532,8 +696,24 @@ ShiftLinear::ShiftLinear(ShiftLowering lowered, const ShiftLinearSpec& spec,
   panel_ = build_panel(plan, in_features_, "ShiftLinear");
 }
 
+// The input vector is a one-column K-pair panel (ld 1): the codes in
+// order, then a zero for an odd in_features' last pair.
 FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
-    const QuantizedActivations& input, OpCounts* counts) const {
+    const tensor::Tensor& input, int act_bits, OpCounts* counts) const {
+  FLIGHTNN_CHECK(input.numel() == in_features_,
+                 "ShiftLinear::run: input numel ", input.numel(),
+                 " does not match in features ", in_features_);
+  const CodeScale cs = code_scale(input.abs_max(), act_bits, "ShiftLinear::run");
+  check_accumulator_range(cs.max_abs, panel_.max_gain, "ShiftLinear::run");
+  std::int16_t* x = runtime::ScratchArena::current().i16(
+      runtime::Scratch::kPatchPanel, static_cast<std::size_t>(panel_.pairs * 2));
+  encode_span(input.data(), in_features_, cs, x);
+  std::fill(x + in_features_, x + panel_.pairs * 2, std::int16_t{0});
+  return run_panel_codes(x, cs.scale_exp, cs.max_abs, counts);
+}
+
+tensor::Tensor ShiftLinear::run(const QuantizedActivations& input,
+                                OpCounts* counts) const {
   FLIGHTNN_CHECK(input.shape.numel() == in_features_,
                  "ShiftLinear::run: input numel ", input.shape.numel(),
                  " does not match in features ", in_features_);
@@ -543,20 +723,21 @@ FLIGHTNN_HOT FLIGHTNN_API_ENTRY tensor::Tensor ShiftLinear::run(
                  " values do not fill shape ", input.shape.to_string());
   const std::int64_t amax = input.abs_max();
   check_accumulator_range(amax, panel_.max_gain, "ShiftLinear::run");
-
-  // The input vector is a one-column patch panel: im2col of an
-  // [in_features, 1, 1] image by a 1x1 kernel packs it in K-pairs.
-  const tensor::ConvGeometry geom{in_features_, 1, 1, 1, 1, 0};
   std::int16_t* x = runtime::ScratchArena::current().i16(
-      runtime::Scratch::kPatchPanel,
-      static_cast<std::size_t>(core::im2col_pairs_scratch(geom)));
-  core::im2col_pairs(input.values.data(), geom, x);
+      runtime::Scratch::kPatchPanel, static_cast<std::size_t>(panel_.pairs * 2));
+  stage_values(input.values.data(), CodeLayout{1, 1, in_features_, 0}, x);
+  std::fill(x + in_features_, x + panel_.pairs * 2, std::int16_t{0});
+  return run_panel_codes(x, input.scale_exp, amax, counts);
+}
+
+tensor::Tensor ShiftLinear::run_panel_codes(const std::int16_t* x,
+                                            int scale_exp, std::int64_t amax,
+                                            OpCounts* counts) const {
   tensor::Tensor output(tensor::Shape{out_features_});
   run_panel(panel_, x, 1, amax,
             core::IntGemmStore{output.data(), 1, panel_.rows.data(),
                                bias_.empty() ? nullptr : bias_.data(),
-                               std::ldexp(1.0F, input.scale_exp + config_.e_min)});
-
+                               std::ldexp(1.0F, scale_exp + config_.e_min)});
   if (counts != nullptr) {
     // One accumulate per plan entry; matches the term walk's counting.
     counts->shifts += entries_;

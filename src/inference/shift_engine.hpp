@@ -48,21 +48,16 @@ struct QuantizedActivations {
 };
 
 // Symmetric `bits`-bit quantization with a power-of-two scale covering the
-// abs-max. `image` must be [C, H, W] or [1, C, H, W].
+// abs-max. `image` must be [C, H, W] or [1, C, H, W]; input holding NaN or
+// +/-Inf is rejected with CheckFailure. These materialize the int32 codes
+// for tests, benches and the term-walk oracle; the engines' tensor-input
+// run() overloads quantize with the same rule straight into their int16
+// staging buffers.
 QuantizedActivations quantize_image(const tensor::Tensor& image, int bits = 8);
 
 // Same quantization for a tensor of any shape (rank preserved); used for
 // the flat feature vectors feeding linear layers.
 QuantizedActivations quantize_tensor(const tensor::Tensor& x, int bits = 8);
-
-// Allocation-reusing variants: quantize into `out`, reusing its value buffer
-// (no heap traffic once the buffer has reached its high-water size). These
-// are what the compiled network's steps call in steady state. Input holding
-// NaN or +/-Inf is rejected with CheckFailure.
-void quantize_image_into(const tensor::Tensor& image, int bits,
-                         QuantizedActivations& out);
-void quantize_tensor_into(const tensor::Tensor& x, int bits,
-                          QuantizedActivations& out);
 
 // Dequantize back to float (for comparisons).
 tensor::Tensor dequantize(const QuantizedActivations& activations);
@@ -110,6 +105,19 @@ struct ShiftPanel {
   std::vector<std::int64_t> w64;     // packed panel, wide weights
 };
 
+// The float neighbours a fused shift-conv step absorbs (DESIGN.md §14): a
+// max pool applied to the input's int16 codes before the lowering, and a
+// per-output-channel affine (folded batch norm) plus leaky ReLU applied in
+// the GEMM's store pass. A default-constructed fusion absorbs nothing.
+struct ConvFusion {
+  std::int64_t pool_window = 0;  // 0: no pool
+  std::int64_t pool_stride = 0;
+  std::vector<float> scale;      // affine y = scale[o] * y + bias[o]; empty:
+  std::vector<float> bias;       // no affine
+  bool leaky = false;
+  float slope = 0.0F;
+};
+
 // Conv geometry of a lowered layer.
 struct ShiftConvSpec {
   std::int64_t out_channels = 0;
@@ -142,13 +150,24 @@ class ShiftConv2d {
   ShiftConv2d(ShiftLowering lowered, const ShiftConvSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
-  // Run on one quantized image; returns the dequantized float output
-  // [out_channels, out_h, out_w]. Accumulates the analytic shift/add census
-  // into `counts` if non-null. |q| must fit int16 (any <= 16-bit
-  // quantization does); larger values, or a plan whose accumulation could
-  // leave int64, throw CheckFailure. Pruned filters cost no GEMM work, and
-  // the patch panel comes from the per-thread arena's grow-once slot (zero
-  // steady-state allocation beyond the pooled output tensor; DESIGN.md §15).
+  // Run on one float image [C, H, W]: quantize it once to `act_bits`-bit
+  // codes (abs-max pow2 scale, the quantize_image rule) written straight
+  // into the int16 staging image, apply `fusion`'s pool to the codes, lower
+  // and multiply, and store the dequantized output [out_channels, out_h,
+  // out_w] through `fusion`'s affine and leaky epilogue. Accumulates the
+  // analytic shift/add census into `counts` if non-null. Non-finite input,
+  // or a plan whose accumulation could leave int64, throws CheckFailure.
+  // Pruned filters cost no GEMM work, and every buffer but the output comes
+  // from the per-thread arena's grow-once slot, sized by
+  // conv_scratch_elements (zero steady-state allocation beyond the pooled
+  // output tensor; DESIGN.md §15).
+  [[nodiscard]] tensor::Tensor run(const tensor::Tensor& input, int act_bits,
+                                   const ConvFusion& fusion,
+                                   OpCounts* counts = nullptr) const;
+
+  // Run on already-quantized codes (tests, benches): the codes are staged
+  // into the same int16 buffer and take the same path, with no fusion.
+  // |q| must fit int16 (any <= 16-bit quantization does).
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
                                    OpCounts* counts = nullptr) const;
 
@@ -163,6 +182,17 @@ class ShiftConv2d {
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
+  // Geometry of a run on an [in_channels, in_h, in_w] (pooled) input;
+  // throws when the input is smaller than the kernel.
+  [[nodiscard]] tensor::ConvGeometry geometry(std::int64_t in_h,
+                                              std::int64_t in_w) const;
+  // The shared tail of both run() overloads: `scratch` holds the panel
+  // space followed by the staged codes at 2^scale_exp, |q| <= amax.
+  tensor::Tensor run_staged(std::int16_t* scratch,
+                            const tensor::ConvGeometry& geom, int scale_exp,
+                            std::int64_t amax, const ConvFusion& fusion,
+                            OpCounts* counts) const;
+
   quant::Pow2Config config_;
   std::int64_t out_channels_, in_channels_, kernel_, stride_, padding_;
   std::int64_t term_count_ = 0;
@@ -187,9 +217,13 @@ class ShiftLinear {
   ShiftLinear(ShiftLowering lowered, const ShiftLinearSpec& spec,
               const quant::Pow2Config& config, tensor::Tensor bias = {});
 
-  // `input` must hold in_features values. Returns the dequantized float
-  // output [out_features]: a dense integer dot of each panel row with the
-  // packed input, same contract as ShiftConv2d::run.
+  // `input` must hold in_features values, of any shape. Quantizes them to
+  // `act_bits`-bit codes straight into the one-column GEMM panel and returns
+  // the dequantized float output [out_features]: a dense integer dot of each
+  // panel row with the codes, same contract as ShiftConv2d::run.
+  [[nodiscard]] tensor::Tensor run(const tensor::Tensor& input, int act_bits,
+                                   OpCounts* counts = nullptr) const;
+  // Same on already-quantized codes (tests, benches).
   [[nodiscard]] tensor::Tensor run(const QuantizedActivations& input,
                                    OpCounts* counts = nullptr) const;
 
@@ -201,6 +235,10 @@ class ShiftLinear {
   [[nodiscard]] const char* kernel_tier(int act_bits) const;
 
  private:
+  // The shared tail of both run() overloads: `x` is the packed panel.
+  tensor::Tensor run_panel_codes(const std::int16_t* x, int scale_exp,
+                                 std::int64_t amax, OpCounts* counts) const;
+
   quant::Pow2Config config_;
   std::int64_t out_features_, in_features_;
   std::int64_t term_count_ = 0;
@@ -208,6 +246,14 @@ class ShiftLinear {
   tensor::Tensor bias_;
   ShiftPanel panel_;
 };
+
+// Int16 elements of the arena slot ShiftConv2d::run fetches at `geom` (the
+// pooled input geometry): the K-pair panel, then the zero-bordered staging
+// image, then -- when a pool is absorbed -- the unpooled code plane of
+// `unpooled_numel` elements (0 without a pool). MemoryPlan sizes the slot
+// with the same function.
+std::int64_t conv_scratch_elements(const tensor::ConvGeometry& geom,
+                                   std::int64_t unpooled_numel);
 
 // Reference float convolution of one image (for bit-exactness tests):
 // weights [O, I, K, K], image [C, H, W] -> [O, OH, OW]. Accumulates in

@@ -155,7 +155,11 @@ TEST(QuantizedNetworkTest, DescribeListsPlan) {
   EXPECT_NE(plan.find("shift_conv"), std::string::npos);
   EXPECT_NE(plan.find("affine"), std::string::npos);
   EXPECT_NE(plan.find("shift_linear"), std::string::npos);
-  EXPECT_GT(network.step_count(), 10u);
+  // Each conv absorbs its quant, pool, folded batch norm and leaky ReLU:
+  // four fused convs, then the trailing quant, gap and linear head.
+  EXPECT_NE(plan.find("(quant(8b)+maxpool+affine+leaky_relu)"),
+            std::string::npos);
+  EXPECT_EQ(network.step_count(), 7u);
 }
 
 TEST(QuantizedNetworkTest, RejectsBadInputs) {

@@ -51,8 +51,8 @@ TEST(QuantizeImageTest, ValuesFitBitWidth) {
 }
 
 // Non-finite input has no power-of-two scale: abs_max is NaN or Inf exactly
-// when some element is, and both quantizers reject it before any float-to-int
-// conversion -- so neither engine ever sees it.
+// when some element is, and both the standalone quantizers and the engines'
+// own code passes reject it before any float-to-int conversion.
 TEST(QuantizeImageTest, RejectsNonFiniteInputBeforeTheEngines) {
   const quant::Pow2Config config;
   support::Rng rng(5);
@@ -67,9 +67,9 @@ TEST(QuantizeImageTest, RejectsNonFiniteInputBeforeTheEngines) {
                           -std::numeric_limits<float>::infinity()}) {
     Tensor img = Tensor::randn(Shape{2, 2, 2}, rng);
     img[5] = bad;
-    QuantizedActivations q;
-    EXPECT_THROW(quantize_image_into(img, 8, q), support::CheckFailure) << bad;
-    EXPECT_THROW(quantize_tensor_into(img, 8, q), support::CheckFailure) << bad;
+    EXPECT_THROW((void)conv.run(img, 8, ConvFusion{}), support::CheckFailure)
+        << bad;
+    EXPECT_THROW((void)linear.run(img, 8), support::CheckFailure) << bad;
     EXPECT_THROW((void)conv.run(quantize_image(img, 8)), support::CheckFailure)
         << bad;
     EXPECT_THROW((void)linear.run(quantize_tensor(img, 8)),
