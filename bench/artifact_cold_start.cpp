@@ -98,6 +98,21 @@ std::vector<std::uint8_t> logits_bytes(const inference::QuantizedNetwork& net,
   return bytes;
 }
 
+// Median and quartiles (linear interpolation between order statistics).
+struct Spread {
+  double p25 = 0.0, median = 0.0, p75 = 0.0;
+};
+Spread spread(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
 }  // namespace
 }  // namespace flightnn
 
@@ -108,7 +123,8 @@ int main(int argc, char** argv) {
                             "checkpoint vs mmap-artifact cold-start latency");
   parser.add_flag("--width-scale", "channel-width multiplier of network 1",
                   "0.5");
-  parser.add_flag("--repeats", "timed repetitions per path (best-of)", "15");
+  parser.add_flag("--repeats", "timed repetitions per path (median, IQR)",
+                  "15");
   parser.add_flag("--json", "result file path", "BENCH_artifact.json");
   std::vector<std::string> args(argv + 1, argv + argc);
   const auto smoke_it = std::find(args.begin(), args.end(), "--smoke");
@@ -161,9 +177,9 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 4; ++i) {
     images.push_back(Tensor::randn(Shape{kChannels, kHeight, kWidth}, rng));
   }
-  double first_ckpt_ms = 0.0;
+  double warmup_ms = 0.0;  // the correctness run; not a timed sample
   const auto reference =
-      checkpoint_cold_start(ckpt_path, width_scale, &first_ckpt_ms);
+      checkpoint_cold_start(ckpt_path, width_scale, &warmup_ms);
   const auto reference_logits = logits_bytes(reference, images);
   {
     const serialize::ArtifactModel artifact =
@@ -180,32 +196,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Timed runs. Best-of reporting: cold start is a latency number and the
-  // interesting figure is the cost of the work itself, not scheduler noise;
-  // the file cache is warm for both paths after the staging writes above.
-  double best_ckpt_ms = first_ckpt_ms;
-  double best_artifact_ms = 1e300;
+  // Timed runs, reported per path as the median with its interquartile
+  // range: back-to-back runs on a shared VM spread by tens of percent, so a
+  // best-of would post the luckiest run and hide the spread. The file cache
+  // is warm for both paths after the staging writes above.
+  std::vector<double> ckpt_ms;
+  std::vector<double> artifact_ms;
   for (int i = 0; i < repeats; ++i) {
     double elapsed = 0.0;
     const auto net = checkpoint_cold_start(ckpt_path, width_scale, &elapsed);
     (void)net;
-    best_ckpt_ms = std::min(best_ckpt_ms, elapsed);
+    ckpt_ms.push_back(elapsed);
   }
   for (int i = 0; i < repeats; ++i) {
     const auto start = std::chrono::steady_clock::now();
     const serialize::ArtifactModel artifact =
         serialize::ArtifactModel::load(artifact_path);
-    best_artifact_ms = std::min(best_artifact_ms, ms_since(start));
+    artifact_ms.push_back(ms_since(start));
   }
   std::remove(ckpt_path.c_str());
   std::remove(artifact_path.c_str());
 
-  const double speedup = best_ckpt_ms / best_artifact_ms;
-  std::printf("checkpoint cold start: %9.3f ms (best of %d)\n", best_ckpt_ms,
-              repeats);
-  std::printf("artifact   cold start: %9.3f ms (best of %d)\n",
-              best_artifact_ms, repeats);
-  std::printf("speedup: %.1fx, logits memcmp-identical on %zu images\n",
+  const Spread ckpt = spread(ckpt_ms);
+  const Spread art = spread(artifact_ms);
+  const double speedup = ckpt.median / art.median;
+  std::printf("checkpoint cold start: %9.3f ms median, IQR %.3f-%.3f (%zu runs)\n",
+              ckpt.median, ckpt.p25, ckpt.p75, ckpt_ms.size());
+  std::printf("artifact   cold start: %9.3f ms median, IQR %.3f-%.3f (%zu runs)\n",
+              art.median, art.p25, art.p75, artifact_ms.size());
+  std::printf("speedup (medians): %.1fx, logits memcmp-identical on %zu images\n",
               speedup, images.size());
 
   bench::JsonObject out;
@@ -216,8 +235,12 @@ int main(int argc, char** argv) {
   out.add_number("width_scale", width_scale);
   out.add_int("checkpoint_bytes", static_cast<long long>(ckpt_blob.size()));
   out.add_int("artifact_bytes", static_cast<long long>(artifact_blob.size()));
-  out.add_number("checkpoint_cold_start_ms", best_ckpt_ms);
-  out.add_number("artifact_cold_start_ms", best_artifact_ms);
+  out.add_number("checkpoint_cold_start_ms", ckpt.median);
+  out.add_number("checkpoint_cold_start_p25_ms", ckpt.p25);
+  out.add_number("checkpoint_cold_start_p75_ms", ckpt.p75);
+  out.add_number("artifact_cold_start_ms", art.median);
+  out.add_number("artifact_cold_start_p25_ms", art.p25);
+  out.add_number("artifact_cold_start_p75_ms", art.p75);
   out.add_number("speedup", speedup);
   out.add_bool("logits_identical", true);
   bench::add_host_info(

@@ -24,18 +24,31 @@
 
 namespace flightnn::bench {
 
-// Short git revision of the working tree, or "unknown" outside a checkout.
-inline std::string git_sha() {
-  FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buffer[64] = {0};
-  std::string sha;
-  if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) sha = buffer;
+// First line of `command`'s stdout, trailing newline stripped ("" when it
+// could not run or printed nothing).
+inline std::string command_line_output(const char* command) {
+  FILE* pipe = ::popen(command, "r");
+  if (pipe == nullptr) return "";
+  char buffer[256] = {0};
+  std::string line;
+  if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) line = buffer;
   ::pclose(pipe);
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
   }
-  return sha.empty() ? "unknown" : sha;
+  return line;
+}
+
+// Short git revision of the working tree, or "unknown" outside a checkout.
+// A tree with uncommitted changes gets a "-dirty" suffix, so a result file
+// made from it does not pass for the commit it started from.
+inline std::string git_sha() {
+  const std::string sha =
+      command_line_output("git rev-parse --short HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  const bool dirty =
+      !command_line_output("git status --porcelain 2>/dev/null").empty();
+  return dirty ? sha + "-dirty" : sha;
 }
 
 // The one escaping routine every BENCH_*.json writer goes through: strings

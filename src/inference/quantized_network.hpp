@@ -11,10 +11,15 @@
 // The plan mirrors the model's eval-mode forward pass: the same
 // quantization points (the model's ActivationQuant layers), the same
 // quantized weights, the same folded statistics. One deliberate addition:
-// inputs to shift-coded layers are always re-quantized (hardware feeds the
+// inputs to shift-coded layers are always quantized (hardware feeds the
 // integer datapath integer codes), which adds a quantization point before
 // the classifier that the float model lacks -- logits agree to that step's
 // 8-bit granularity, convolution outputs bit-exactly.
+//
+// from_program fuses each shift conv with the quant, max pool, affine and
+// leaky ReLU around it (ShiftConvRun, DESIGN.md §14): one step quantizes
+// once into int16 codes, pools on codes and runs the float stages in the
+// GEMM's store, with logits byte-identical to running the ops one by one.
 //
 // Layers with shift-codable weights (LightNN-k / FLightNN transforms, or
 // full-precision weights after `quantize_weights_to(k)`) run on the

@@ -12,13 +12,17 @@
 // ShiftPlan (inference/shift_plan.hpp), the sparsity-elided SoA record of
 // its shift terms, and packs it once into a ShiftPanel: each live filter's
 // terms summed into small integer weights, one dense GEMM row per unpruned
-// filter. run() lowers the image to an int16 patch panel and multiplies
-// (core::int_gemm). The plan is the layer's only stored form: engines built
-// from weights lower them through lower_shift_weights() and then hold the
-// same state as engines adopted from a compiled program or an artifact. The
-// term-walk oracle the differential tests compare run() against lives in
-// tests/; each output receives the same exact integer sum, so the two agree
-// bit for bit (DESIGN.md §9).
+// filter. run() quantizes the float input once, straight into an int16
+// staging image, gathers the patch panel from it and multiplies
+// (core::int_gemm); a conv's run can also absorb the max pool before it and
+// the folded batch norm and leaky ReLU after it (ConvFusion), so
+// activations stay int16 codes from the quantizer to the GEMM and the float
+// stages run in the GEMM's store. The plan is the layer's only stored form:
+// engines built from weights lower them through lower_shift_weights() and
+// then hold the same state as engines adopted from a compiled program or an
+// artifact. The term-walk oracle the differential tests compare run()
+// against lives in tests/; each output receives the same exact integer sum,
+// so the two agree bit for bit (DESIGN.md §9).
 //
 // Like the paper's FPGA evaluation (Sec. 5.2), the engine operates at layer
 // granularity -- convolutions dominate >90% of CNN compute, so the largest
