@@ -437,34 +437,16 @@ QuantizedActivations quantize_image(const tensor::Tensor& image, int bits) {
 }
 
 tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits) {
-  FLIGHTNN_CHECK(bits >= 2 && bits <= 16, "fake_quantize: bits ", bits,
-                 " outside [2, 16]");
-  const std::int64_t q_max = (1LL << (bits - 1)) - 1;
-  const float abs_max = x.abs_max();
-  int scale_exp = 0;
-  if (abs_max > 0.0F) {
-    scale_exp = static_cast<int>(
-        std::ceil(std::log2(abs_max / static_cast<float>(q_max))));
-  }
-  if (scale_exp < -126) {
-    // Pathologically tiny abs-max; take the exact two-step path.
-    return dequantize(quantize_tensor(x, bits));
-  }
-  const float inv_scale = std::ldexp(1.0F, -scale_exp);
-  const float scale = std::ldexp(1.0F, scale_exp);
-  const auto lim = static_cast<float>(q_max);
+  const CodeScale cs = code_scale(x.abs_max(), bits, "fake_quantize");
+  // The rounded code is integral and |q| <= q_max < 2^15, so the rescale
+  // q * 2^scale_exp is exact -- element-wise identical to
+  // quantize-then-dequantize.
+  const float scale = std::ldexp(1.0F, cs.scale_exp);
   tensor::Tensor out(x.shape());
   const float* in = x.data();
   float* o = out.data();
-  const std::int64_t n = x.numel();
-  // The rounded value is integral and |q| <= q_max < 2^15, so the float
-  // clamp and the rescale q * 2^scale_exp are both exact -- element-wise
-  // identical to quantize-then-dequantize.
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = in[i] * inv_scale;
-    float r = (v + kRound) - kRound;
-    r = std::min(lim, std::max(-lim, r));
-    o[i] = r * scale;
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    o[i] = round_code(in[i], cs) * scale;
   }
   return out;
 }

@@ -68,8 +68,9 @@ tensor::Tensor dequantize(const QuantizedActivations& activations);
 
 // dequantize(quantize_tensor(x, bits)) fused into one float pass: snaps every
 // element to the `bits`-bit pow2-scaled grid without materializing the
-// integer codes. Element-wise identical to the two-step form; used by the
-// compiled network's activation-quantization steps.
+// integer codes. Element-wise identical to the two-step form, non-finite
+// input rejected the same way; used by the compiled network's standalone
+// activation-quantization steps.
 tensor::Tensor fake_quantize(const tensor::Tensor& x, int bits);
 
 // Operation census of one engine run.
