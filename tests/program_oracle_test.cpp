@@ -7,7 +7,8 @@
 //      4 threads, on every kernel tier the host has. In those networks every
 //      fused output is re-quantized downstream, which would absorb an
 //      ulp-level slip in the store epilogue, so a conv stack whose output
-//      *is* a fused epilogue (no quantizer after it) runs the same sweep.
+//      *is* a fused epilogue (no quantizer after it) runs the same sweep,
+//      and again with every other max-pool geometry.
 //   2. The production leaky ReLU -- the standalone step and the GEMM store
 //      epilogue, on both store paths and tiers -- is byte-equal to the
 //      branch form v > 0 ? v : slope * v on signed zeros, denormals,
@@ -63,18 +64,26 @@ bool bytes_equal(const Tensor& a, const Tensor& b) {
                      static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-std::unique_ptr<nn::Sequential> conv_stack(float width_scale,
-                                           std::uint64_t seed);
+// The conv stack's max pool (window, stride).
+struct PoolGeometry {
+  std::int64_t window = 2;
+  std::int64_t stride = 2;
+};
 
-// A Table-1 network `id` (or, for id 0, the conv stack below) with random
-// weights and batch-norm parameters, running statistics moved off their
-// defaults by one training-mode batch, and a shift quantizer installed
-// (LightNN-2, FLightNN or LightNN-1 by seed).
+std::unique_ptr<nn::Sequential> conv_stack(float width_scale,
+                                           std::uint64_t seed,
+                                           PoolGeometry pool);
+
+// A Table-1 network `id` (or, for id 0, the conv stack below with `pool`)
+// with random weights and batch-norm parameters, running statistics moved
+// off their defaults by one training-mode batch, and a shift quantizer
+// installed (LightNN-2, FLightNN or LightNN-1 by seed).
 std::unique_ptr<nn::Sequential> random_model(int id, float width_scale,
-                                             std::uint64_t seed) {
+                                             std::uint64_t seed,
+                                             PoolGeometry pool = {}) {
   std::unique_ptr<nn::Sequential> model;
   if (id == 0) {
-    model = conv_stack(width_scale, seed);
+    model = conv_stack(width_scale, seed, pool);
   } else {
     models::BuildOptions build;
     build.classes = 10;
@@ -99,9 +108,10 @@ std::unique_ptr<nn::Sequential> random_model(int id, float width_scale,
 
 // Two fused convs, the second pooled, ending in its leaky epilogue:
 // quant -> conv -> bn -> leaky -> quant -> pool -> conv -> bn -> leaky.
-// `id` 0 in the sweep below.
+// `id` 0 in the sweeps below.
 std::unique_ptr<nn::Sequential> conv_stack(float width_scale,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed,
+                                           PoolGeometry pool) {
   support::Rng rng(seed);
   const auto channels =
       std::max<std::int64_t>(4, static_cast<std::int64_t>(64 * width_scale));
@@ -111,7 +121,7 @@ std::unique_ptr<nn::Sequential> conv_stack(float width_scale,
   model->emplace<nn::BatchNorm2d>(channels);
   model->emplace<nn::LeakyReLU>(0.1F);
   model->emplace<nn::ActivationQuant>(8);
-  model->emplace<nn::MaxPool2d>(2);
+  model->emplace<nn::MaxPool2d>(pool.window, pool.stride);
   model->emplace<nn::Conv2d>(channels, channels, 3, 1, 1, false, rng);
   model->emplace<nn::BatchNorm2d>(channels);
   model->emplace<nn::LeakyReLU>(0.1F);
@@ -141,6 +151,32 @@ TEST(ProgramOracle, FusedNetworkMatchesOpByOpOracle) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// The Table-1 networks pool 2/2 only; every other geometry takes the pool
+// over codes' general path: overlapping windows (3/2, 3/1), a stride past
+// the window (2/3) and the 1/1 identity, on an odd-sized input.
+TEST(ProgramOracle, FusedPoolGeometriesMatchOpByOpOracle) {
+  const DispatchGuard guard;
+  for (const PoolGeometry pool : {PoolGeometry{3, 2}, PoolGeometry{3, 1},
+                                  PoolGeometry{2, 3}, PoolGeometry{1, 1}}) {
+    for (const std::uint64_t seed : {1U, 2U}) {
+      auto model = random_model(0, 0.125F, seed, pool);
+      const QuantizedNetwork network =
+          QuantizedNetwork::compile(*model, Shape{1, 3, 15, 15});
+      ASSERT_NE(network.describe().find("+maxpool+"), std::string::npos)
+          << network.describe();
+      support::Rng rng(seed + 11);
+      const Tensor x = Tensor::randn(Shape{3, 15, 15}, rng);
+      const Tensor want = oracle::program_logits(*model, x);
+      for (const int tier : tiers()) {
+        core::set_kernel_tier_override(tier);
+        EXPECT_TRUE(bytes_equal(network.run(x), want))
+            << "pool " << pool.window << "/" << pool.stride << " seed "
+            << seed << " tier " << tier;
       }
     }
   }
